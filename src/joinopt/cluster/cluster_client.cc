@@ -256,12 +256,16 @@ StatusOr<DataService::Fetched> ClusterClientService::Fetch(Key key) {
 StatusOr<std::string> ClusterClientService::Execute(Key key,
                                                     const std::string& params,
                                                     const UserFn& fn) {
+  (void)fn;  // registered server-side
   StatusOr<std::string> result = Status::Aborted("unrouted");
+  std::optional<ItemStat> stat;
   Status s = RoutedCall(key, /*read=*/false, [&](NodeId node) {
-    result = clients_[static_cast<size_t>(node)]->Execute(key, params, fn);
+    RpcClientService& rpc = *clients_[static_cast<size_t>(node)];
+    result = rpc.ExecuteWithStat(key, params, &stat);
     return result.ok() ? Status::OK() : result.status();
   });
   if (!s.ok()) return s;
+  if (stat.has_value() && UsesPiggyback()) piggyback_.Record(key, *stat);
   return result;
 }
 
@@ -290,10 +294,12 @@ std::vector<StatusOr<std::string>> ClusterClientService::ExecuteBatch(
     // so the server-side dedup cache can answer replays.
     uint64_t tag = batch_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
     std::vector<StatusOr<std::string>> group_results;
+    std::vector<std::optional<ItemStat>> group_stats;
     Status s =
         RoutedCall(group.front().first, /*read=*/false, [&](NodeId node) {
-          group_results = clients_[static_cast<size_t>(node)]
-                              ->ExecuteBatchTagged(group, client_id_, tag);
+          RpcClientService& rpc = *clients_[static_cast<size_t>(node)];
+          group_results =
+              rpc.ExecuteBatchTagged(group, client_id_, tag, &group_stats);
           // A whole-batch transport failure surfaces on every item; probe
           // the first for retriability.
           for (const auto& r : group_results) {
@@ -304,6 +310,9 @@ std::vector<StatusOr<std::string>> ClusterClientService::ExecuteBatch(
     if (s.ok()) {
       for (size_t j = 0; j < indices.size(); ++j) {
         results[indices[j]] = std::move(group_results[j]);
+        if (group_stats[j].has_value() && UsesPiggyback()) {
+          piggyback_.Record(group[j].first, *group_stats[j]);
+        }
       }
     } else {
       for (size_t i : indices) results[i] = s;
@@ -313,6 +322,9 @@ std::vector<StatusOr<std::string>> ClusterClientService::ExecuteBatch(
 }
 
 StatusOr<DataService::ItemStat> ClusterClientService::Stat(Key key) const {
+  if (UsesPiggyback()) {
+    if (auto parked = piggyback_.Take(key)) return *parked;
+  }
   if (options_.read_consistency == ReadConsistency::kQuorumVersion) {
     return QuorumStat(key);
   }
@@ -365,6 +377,9 @@ StatusOr<uint64_t> ClusterClientService::Put(Key key,
     }
     if (i == 0) primary_version = std::move(version);
   }
+  // Whether or not the write landed, a parked stat may now be older than
+  // the key's stored version.
+  piggyback_.Forget(key);
   if (primary_version.ok()) out.primary_version = *primary_version;
   if (outcome != nullptr) *outcome = out;
   return primary_version;

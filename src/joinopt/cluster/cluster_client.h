@@ -23,6 +23,15 @@
 // promotion — so a replayed batch whose original response was lost is
 // answered from the server's dedup cache instead of re-executing.
 //
+// Piggybacked stats (Section 4.3): every compute response carries each ok
+// item's (size, version). Under ReadConsistency::kAny the client parks
+// them in a bounded StatPiggyback table, and the Stat that follows a
+// delegated item is answered from it without a round trip: a value the
+// primary returned a moment ago is no staler than what a catching-up
+// follower may serve under kAny. kOwnerOnly and kQuorumVersion must also
+// see writes acked after the compute request, so their Stat always reads
+// the wire. The client's own Put clears the key's entry.
+//
 // OwnerOf never leaves the process: the topology *is* the ownership oracle
 // (zero RPCs — the test asserts this), which is the payoff of sharing the
 // RegionMap instead of asking a data node per key.
@@ -30,10 +39,11 @@
 // Threading contract: every DataService method is safe to call from any
 // number of threads concurrently (the ParallelInvoker's workers all share
 // one instance). Internal locks: rec_mu_ (rank kClientRecovery=800,
-// counters + jitter RNG) and the NodeLoadView's per-node locks (rank
-// kNodeLoadView=270); neither is held across an RPC, so a stalled remote
-// never wedges routing. The failure listener and the topology's own lock
-// run outside both. Rank table: DESIGN.md §12.
+// counters + jitter RNG), the NodeLoadView's per-node locks (rank
+// kNodeLoadView=270) and the piggyback table's (rank kStatPiggyback=830);
+// none is held across an RPC, so a stalled remote never wedges routing.
+// The failure listener and the topology's own lock run outside all of
+// them. Rank table: DESIGN.md §12.
 #ifndef JOINOPT_CLUSTER_CLUSTER_CLIENT_H_
 #define JOINOPT_CLUSTER_CLUSTER_CLIENT_H_
 
@@ -41,6 +51,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -54,6 +65,7 @@
 #include "joinopt/engine/types.h"
 #include "joinopt/loadbalance/node_load_view.h"
 #include "joinopt/net/rpc_client.h"
+#include "joinopt/net/stat_piggyback.h"
 
 namespace joinopt {
 
@@ -158,6 +170,9 @@ class ClusterClientService : public DataService {
   std::vector<StatusOr<std::string>> ExecuteBatch(
       const std::vector<std::pair<Key, std::string>>& items,
       const UserFn& fn) override;
+  /// Under kAny answered from the stat the last compute response for `key`
+  /// piggybacked, if one is parked; otherwise read per the consistency
+  /// mode.
   StatusOr<ItemStat> Stat(Key key) const override;
   /// Local topology lookup — zero RPCs.
   NodeId OwnerOf(Key key) const override;
@@ -185,6 +200,8 @@ class ClusterClientService : public DataService {
   /// The load view reads balance over (the shared one from the options, or
   /// the private one this client owns).
   NodeLoadView& load_view() const { return *load_view_; }
+  /// Stats parked from compute responses (tests).
+  const StatPiggyback& stat_piggyback() const { return piggyback_; }
 
  private:
   /// One owner-routed call with the retry/failover rotation. `read`
@@ -200,6 +217,10 @@ class ClusterClientService : public DataService {
   /// version wins (NotFound counts as a version-0 vote).
   StatusOr<Fetched> QuorumFetch(Key key) const;
   StatusOr<ItemStat> QuorumStat(Key key) const;
+  /// True when Stat may be answered from a piggybacked stat (kAny).
+  bool UsesPiggyback() const {
+    return options_.read_consistency == ReadConsistency::kAny;
+  }
   void NoteFailure(NodeId node, const Status& status) const;
   double BackoffSeconds(int attempt) const;
 
@@ -212,6 +233,9 @@ class ClusterClientService : public DataService {
   NodeLoadView* load_view_ = nullptr;
   std::atomic<uint64_t> batch_seq_{0};
   uint64_t client_id_ = 0;
+  /// Stats parked by Execute/ExecuteBatch for the next Stat of each key;
+  /// only written and read under kAny.
+  mutable StatPiggyback piggyback_;
   /// Set once before the client is shared across threads (see the setter's
   /// contract); read-only afterwards, hence not lock-guarded.
   std::function<void(NodeId)> failure_listener_;

@@ -136,6 +136,12 @@ inline constexpr int kHedgeState = 805;
 /// token bucket. A leaf: the manager calls nothing while holding it.
 inline constexpr int kHedging = 820;
 
+/// StatPiggyback::mu_ — the stats a client parked from compute responses
+/// for the Stat that follows (one table per RpcClientService and per
+/// ClusterClientService). A leaf: record, take and forget touch only the
+/// slot array, and callers hold no lock when they call in.
+inline constexpr int kStatPiggyback = 830;
+
 /// RpcClientService::Pool::mu — per-endpoint idle-connection pool; the
 /// innermost lock before the raw socket.
 inline constexpr int kClientPool = 850;

@@ -106,7 +106,13 @@ class DataService {
   };
   /// Blocking (round trip remote, but payload-free — cheap even over a
   /// network); thread-safe; const so decision-engine probes can run
-  /// against a const service reference.
+  /// against a const service reference. Networked clients may answer the
+  /// Stat that follows a compute request without a round trip, from the
+  /// (size, version) the compute response piggybacked: RpcClientService
+  /// always (its balanced reads already accept any replica),
+  /// ClusterClientService under ReadConsistency::kAny only. Each
+  /// piggybacked stat answers one Stat, and the client's own Put of the
+  /// key drops it (net/stat_piggyback.h).
   virtual StatusOr<ItemStat> Stat(Key key) const = 0;
   /// Placement: which (logical) data node owns the key. Blocking (one
   /// round trip for socket-backed services, which return kInvalidNode when

@@ -178,14 +178,13 @@ StatusOr<FrameHeader> ParseFrameHeader(std::string_view buf,
 
 StatusOr<std::string> BuildFrame(MsgType type, uint32_t seq,
                                  std::string_view body,
-                                 size_t max_frame_bytes, uint8_t version) {
+                                 size_t max_frame_bytes) {
   if (body.size() > max_frame_bytes) {
     return Status::ResourceExhausted("wire: frame body exceeds limit");
   }
   std::string out;
   out.reserve(kFrameHeaderBytes + body.size());
-  AppendFrameHeader(&out, type, seq, static_cast<uint32_t>(body.size()),
-                    version);
+  AppendFrameHeader(&out, type, seq, static_cast<uint32_t>(body.size()));
   out.append(body.data(), body.size());
   return out;
 }
@@ -219,9 +218,12 @@ StatusOr<ExecuteRequest> DecodeExecuteRequest(std::string_view body) {
   return req;
 }
 
-std::string EncodeBatchRequest(
+std::string EncodeTaggedBatchRequest(
+    uint64_t client_id, uint64_t batch_seq,
     const std::vector<std::pair<Key, std::string>>& items) {
   std::string out;
+  PutU64(&out, client_id);
+  PutU64(&out, batch_seq);
   PutU32(&out, static_cast<uint32_t>(items.size()));
   for (const auto& [key, params] : items) {
     PutU64(&out, key);
@@ -230,42 +232,24 @@ std::string EncodeBatchRequest(
   return out;
 }
 
-StatusOr<std::vector<std::pair<Key, std::string>>> DecodeBatchRequest(
-    std::string_view body) {
+StatusOr<TaggedBatchRequest> DecodeTaggedBatchRequest(std::string_view body) {
   WireReader r(body);
+  TaggedBatchRequest req;
+  JOINOPT_ASSIGN_OR_RETURN(req.client_id, r.GetU64());
+  JOINOPT_ASSIGN_OR_RETURN(req.batch_seq, r.GetU64());
   JOINOPT_ASSIGN_OR_RETURN(uint32_t count, r.GetU32());
   // Each item is at least 12 bytes (key + empty string); a count implying
   // more items than bytes is a corrupt frame, not an allocation request.
   if (static_cast<size_t>(count) * 12 > r.remaining()) {
     return BadFrame("batch count exceeds frame");
   }
-  std::vector<std::pair<Key, std::string>> items;
-  items.reserve(count);
+  req.items.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
     JOINOPT_ASSIGN_OR_RETURN(Key key, r.GetU64());
     JOINOPT_ASSIGN_OR_RETURN(std::string params, r.GetString());
-    items.emplace_back(key, std::move(params));
+    req.items.emplace_back(key, std::move(params));
   }
   if (!r.Done()) return BadFrame("trailing bytes in batch request");
-  return items;
-}
-
-std::string EncodeTaggedBatchRequest(
-    uint64_t client_id, uint64_t batch_seq,
-    const std::vector<std::pair<Key, std::string>>& items) {
-  std::string out;
-  PutU64(&out, client_id);
-  PutU64(&out, batch_seq);
-  out += EncodeBatchRequest(items);
-  return out;
-}
-
-StatusOr<TaggedBatchRequest> DecodeTaggedBatchRequest(std::string_view body) {
-  WireReader r(body);
-  TaggedBatchRequest req;
-  JOINOPT_ASSIGN_OR_RETURN(req.client_id, r.GetU64());
-  JOINOPT_ASSIGN_OR_RETURN(req.batch_seq, r.GetU64());
-  JOINOPT_ASSIGN_OR_RETURN(req.items, DecodeBatchRequest(body.substr(16)));
   return req;
 }
 
@@ -421,71 +405,80 @@ StatusOr<StatusOr<DataService::Fetched>> DecodeFetchResponse(
   return result;
 }
 
-std::string EncodeExecuteResponse(const StatusOr<std::string>& result) {
-  std::string out;
-  if (result.ok()) {
-    PutU8(&out, kTagOk);
-    PutString(&out, *result);
-  } else {
-    PutU8(&out, kTagError);
-    PutStatus(&out, result.status());
-  }
-  return out;
-}
-
 namespace {
 
-/// Decodes one Execute-style result without the trailing-bytes check (the
-/// batch decoder reads many in sequence).
-StatusOr<StatusOr<std::string>> GetExecuteResult(WireReader& r) {
-  JOINOPT_ASSIGN_OR_RETURN(bool ok, GetResultTag(r));
-  if (ok) {
-    JOINOPT_ASSIGN_OR_RETURN(std::string value, r.GetString());
-    return StatusOr<std::string>(std::move(value));
+/// One compute result without the trailing-bytes check (the batch codec
+/// writes and reads many in sequence).
+void PutComputeResult(std::string* out, const ComputeResult& result) {
+  if (!result.value.ok()) {
+    PutU8(out, kTagError);
+    PutStatus(out, result.value.status());
+    return;
   }
-  Status status;
-  JOINOPT_RETURN_NOT_OK(GetStatus(r, &status));
-  return StatusOr<std::string>(std::move(status));
+  PutU8(out, kTagOk);
+  PutString(out, *result.value);
+  PutU8(out, result.stat.has_value() ? 1 : 0);
+  if (result.stat.has_value()) {
+    PutF64(out, result.stat->size_bytes);
+    PutU64(out, result.stat->version);
+  }
+}
+
+StatusOr<ComputeResult> GetComputeResult(WireReader& r) {
+  JOINOPT_ASSIGN_OR_RETURN(bool ok, GetResultTag(r));
+  if (!ok) {
+    Status status;
+    JOINOPT_RETURN_NOT_OK(GetStatus(r, &status));
+    return ComputeResult{std::move(status), std::nullopt};
+  }
+  JOINOPT_ASSIGN_OR_RETURN(std::string value, r.GetString());
+  ComputeResult result{std::move(value), std::nullopt};
+  JOINOPT_ASSIGN_OR_RETURN(uint8_t present, r.GetU8());
+  if (present > 1) return BadFrame("bad stat present flag");
+  if (present == 1) {
+    DataService::ItemStat stat;
+    JOINOPT_ASSIGN_OR_RETURN(stat.size_bytes, r.GetF64());
+    JOINOPT_ASSIGN_OR_RETURN(stat.version, r.GetU64());
+    result.stat = stat;
+  }
+  return result;
 }
 
 }  // namespace
 
-StatusOr<StatusOr<std::string>> DecodeExecuteResponse(std::string_view body) {
+std::string EncodeExecuteResponse(const ComputeResult& result) {
+  std::string out;
+  PutComputeResult(&out, result);
+  return out;
+}
+
+StatusOr<ComputeResult> DecodeExecuteResponse(std::string_view body) {
   WireReader r(body);
-  JOINOPT_ASSIGN_OR_RETURN(StatusOr<std::string> result, GetExecuteResult(r));
+  JOINOPT_ASSIGN_OR_RETURN(ComputeResult result, GetComputeResult(r));
   if (!r.Done()) return BadFrame("trailing bytes in execute response");
   return result;
 }
 
-std::string EncodeBatchResponse(
-    const std::vector<StatusOr<std::string>>& results) {
+std::string EncodeBatchResponse(const std::vector<ComputeResult>& results) {
   std::string out;
   PutU32(&out, static_cast<uint32_t>(results.size()));
-  for (const auto& result : results) {
-    if (result.ok()) {
-      PutU8(&out, kTagOk);
-      PutString(&out, *result);
-    } else {
-      PutU8(&out, kTagError);
-      PutStatus(&out, result.status());
-    }
-  }
+  for (const ComputeResult& result : results) PutComputeResult(&out, result);
   return out;
 }
 
-StatusOr<std::vector<StatusOr<std::string>>> DecodeBatchResponse(
+StatusOr<std::vector<ComputeResult>> DecodeBatchResponse(
     std::string_view body) {
   WireReader r(body);
   JOINOPT_ASSIGN_OR_RETURN(uint32_t count, r.GetU32());
-  // At least 5 bytes per result (tag + empty string length).
-  if (static_cast<size_t>(count) * 5 > r.remaining()) {
+  // At least 6 bytes per result: an error is tag + code + empty message
+  // length, an ok result tag + empty string length + stat flag.
+  if (static_cast<size_t>(count) * 6 > r.remaining()) {
     return BadFrame("batch result count exceeds frame");
   }
-  std::vector<StatusOr<std::string>> results;
+  std::vector<ComputeResult> results;
   results.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
-    JOINOPT_ASSIGN_OR_RETURN(StatusOr<std::string> result,
-                             GetExecuteResult(r));
+    JOINOPT_ASSIGN_OR_RETURN(ComputeResult result, GetComputeResult(r));
     results.push_back(std::move(result));
   }
   if (!r.Done()) return BadFrame("trailing bytes in batch response");

@@ -22,18 +22,19 @@
 // over TCP.
 //
 // Compatibility rule: the header layout (magic..body_len) is frozen; any
-// change to a body encoding bumps kWireVersion. A server receiving a
-// version it cannot speak answers with an in-band FailedPrecondition error
-// (so old clients get a readable error, not a hang) and closes the
-// connection.
+// change to a body encoding bumps kWireVersion. There is exactly one wire
+// version: a server speaks only kWireVersion, and answers a frame of any
+// other version with an in-band FailedPrecondition error (so old clients
+// get a readable error, not a hang); the connection keeps serving
+// current-version frames.
 //
-// Version 2 (this header) adds the write path — Put, a Subscribe/Notify
-// invalidation stream carrying per-region epoch/sequence numbers, and a
-// tagged ExecuteBatch body prefixed with (client_id, batch_seq) so servers
-// can deduplicate replayed batches for exactly-once delegation. The five
-// v1 verb bodies are byte-identical in v2: a v2 server still accepts v1
-// frames for them and answers with v1-stamped frames (see DESIGN.md §11
-// for the compat table), so v1 readers keep working.
+// Version 2 added the write path — Put, a Subscribe/Notify invalidation
+// stream carrying per-region epoch/sequence numbers, and a tagged
+// ExecuteBatch body prefixed with (client_id, batch_seq) so servers can
+// deduplicate replayed batches for exactly-once delegation. Version 3 (this
+// header) makes Section 4.3's piggyback literal: every ok result of an
+// Execute or ExecuteBatch response carries the item's (size, version), so
+// the compute node learns its cost parameters without a Stat round trip.
 //
 // The codec layer is pure (no I/O); sockets live in net/socket.h. See
 // DESIGN.md §10 for the protocol rationale and the errno → Status table.
@@ -41,6 +42,7 @@
 #define JOINOPT_NET_FRAME_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -52,9 +54,10 @@
 namespace joinopt {
 
 inline constexpr uint32_t kFrameMagic = 0x4A4F5054;  // "JOPT"
-inline constexpr uint8_t kWireVersion = 2;
-/// Oldest version a v2 server still serves (the five v1 verbs only).
-inline constexpr uint8_t kMinWireVersion = 1;
+inline constexpr uint8_t kWireVersion = 3;
+/// Oldest version a server still serves: the same one. Older frames are
+/// refused in-band (DESIGN.md §10).
+inline constexpr uint8_t kMinWireVersion = kWireVersion;
 inline constexpr size_t kFrameHeaderBytes = 16;
 /// Default bound on body_len; a peer announcing more is protocol-violating
 /// and the connection is dropped (never trust a length field with memory).
@@ -106,8 +109,9 @@ struct FrameHeader {
   uint32_t body_len = 0;
 };
 
-/// Appends the 16-byte header for a `body_len`-byte body. `version` lets a
-/// v2 server stamp responses to v1 clients with the version they speak.
+/// Appends the 16-byte header for a `body_len`-byte body. `version` is
+/// always kWireVersion outside tests, which stamp other versions to check
+/// that a server refuses them.
 void AppendFrameHeader(std::string* out, MsgType type, uint32_t seq,
                        uint32_t body_len, uint8_t version = kWireVersion);
 
@@ -121,8 +125,7 @@ StatusOr<FrameHeader> ParseFrameHeader(std::string_view buf,
 /// rejected by the peer).
 StatusOr<std::string> BuildFrame(MsgType type, uint32_t seq,
                                  std::string_view body,
-                                 size_t max_frame_bytes,
-                                 uint8_t version = kWireVersion);
+                                 size_t max_frame_bytes);
 
 // ---- primitive append/read helpers (exposed for tests) -------------------
 
@@ -168,16 +171,12 @@ struct ExecuteRequest {
 std::string EncodeExecuteRequest(Key key, std::string_view params);
 StatusOr<ExecuteRequest> DecodeExecuteRequest(std::string_view body);
 
-std::string EncodeBatchRequest(
-    const std::vector<std::pair<Key, std::string>>& items);
-StatusOr<std::vector<std::pair<Key, std::string>>> DecodeBatchRequest(
-    std::string_view body);
-
-/// v2 ExecuteBatch body: (client_id, batch_seq) prefix + the v1 item list.
-/// A server remembers recently-served (client_id, batch_seq) pairs and
-/// answers a replay from its response cache instead of re-executing — the
-/// dedup half of exactly-once batch delegation (the client half is reusing
-/// the same tag across retry attempts).
+/// ExecuteBatch body: (client_id, batch_seq), then u32 count and count x
+/// (u64 key + string params). A server remembers recently-served
+/// (client_id, batch_seq) pairs and answers a replay from its response
+/// cache instead of re-executing — the dedup half of exactly-once batch
+/// delegation (the client half is reusing the same tag across retry
+/// attempts). client_id 0 opts out of dedup.
 struct TaggedBatchRequest {
   uint64_t client_id = 0;
   uint64_t batch_seq = 0;
@@ -255,13 +254,22 @@ std::string EncodeFetchResponse(const StatusOr<DataService::Fetched>& result);
 StatusOr<StatusOr<DataService::Fetched>> DecodeFetchResponse(
     std::string_view body);
 
-std::string EncodeExecuteResponse(const StatusOr<std::string>& result);
-StatusOr<StatusOr<std::string>> DecodeExecuteResponse(std::string_view body);
+/// One result of a compute request as a v3 Execute or ExecuteBatch
+/// response carries it: a Result, and after an ok payload a u8 present
+/// flag followed, when 1, by the item's f64 size_bytes + u64 version —
+/// the cost parameters Section 4.3 piggybacks on the response. `stat` is
+/// empty for error results (they carry none on the wire) and when the
+/// server could not read the item's stat.
+struct ComputeResult {
+  StatusOr<std::string> value;
+  std::optional<DataService::ItemStat> stat;
+};
 
-std::string EncodeBatchResponse(
-    const std::vector<StatusOr<std::string>>& results);
-StatusOr<std::vector<StatusOr<std::string>>> DecodeBatchResponse(
-    std::string_view body);
+std::string EncodeExecuteResponse(const ComputeResult& result);
+StatusOr<ComputeResult> DecodeExecuteResponse(std::string_view body);
+
+std::string EncodeBatchResponse(const std::vector<ComputeResult>& results);
+StatusOr<std::vector<ComputeResult>> DecodeBatchResponse(std::string_view body);
 
 std::string EncodeStatResponse(const StatusOr<DataService::ItemStat>& result);
 StatusOr<StatusOr<DataService::ItemStat>> DecodeStatResponse(

@@ -88,7 +88,6 @@ class ReactorConn : public UpdateSink {
   uint32_t interest_ = 0;         ///< current epoll mask (Mod cache)
   bool subscribed_io_ = false;    ///< IO-side view of the subscription
   bool sink_registered_ = false;  ///< AddUpdateSink done, Remove pending
-  uint8_t wire_version_ = kWireVersion;  ///< stamped on pushed notifies
   uint32_t notify_seq_ = 0;       ///< frame seq for kNotifyEvt pushes
 
   // ---- shared (workers, update fanout, IO thread) ----

@@ -319,32 +319,47 @@ StatusOr<DataService::Fetched> RpcClientService::Fetch(Key key) {
   return result;
 }
 
-StatusOr<std::string> RpcClientService::Execute(Key key,
-                                                const std::string& params,
-                                                const UserFn& /*fn*/) {
+StatusOr<std::string> RpcClientService::ExecuteWithStat(
+    Key key, const std::string& params, std::optional<ItemStat>* stat) {
+  *stat = std::nullopt;
   JOINOPT_ASSIGN_OR_RETURN(
       std::string body,
       Call(MsgType::kExecuteReq, EncodeExecuteRequest(key, params)));
-  JOINOPT_ASSIGN_OR_RETURN(StatusOr<std::string> result,
-                           DecodeExecuteResponse(body));
+  JOINOPT_ASSIGN_OR_RETURN(ComputeResult result, DecodeExecuteResponse(body));
+  *stat = result.stat;
+  return std::move(result.value);
+}
+
+StatusOr<std::string> RpcClientService::Execute(Key key,
+                                                const std::string& params,
+                                                const UserFn& /*fn*/) {
+  std::optional<ItemStat> stat;
+  auto result = ExecuteWithStat(key, params, &stat);
+  if (stat.has_value()) piggyback_.Record(key, *stat);
   return result;
 }
 
 std::vector<StatusOr<std::string>> RpcClientService::ExecuteBatch(
     const std::vector<std::pair<Key, std::string>>& items,
     const UserFn& /*fn*/) {
-  return ExecuteBatchTagged(
-      items, client_id_,
-      batch_seq_.fetch_add(1, std::memory_order_relaxed) + 1);
+  const uint64_t seq = batch_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
+  std::vector<std::optional<ItemStat>> stats;
+  auto results = ExecuteBatchTagged(items, client_id_, seq, &stats);
+  for (size_t i = 0; i < stats.size(); ++i) {
+    if (stats[i].has_value()) piggyback_.Record(items[i].first, *stats[i]);
+  }
+  return results;
 }
 
 std::vector<StatusOr<std::string>> RpcClientService::ExecuteBatchTagged(
     const std::vector<std::pair<Key, std::string>>& items,
-    uint64_t client_id, uint64_t batch_seq) {
+    uint64_t client_id, uint64_t batch_seq,
+    std::vector<std::optional<ItemStat>>* stats) {
   // One request frame, one response frame: the single round trip that
   // makes delegation batching worth it over a real network. The tag rides
   // in the (byte-identical across retries) body, so a retry whose original
   // response was lost hits the server's dedup cache.
+  if (stats != nullptr) stats->assign(items.size(), std::nullopt);
   auto fail_all = [&](const Status& status) {
     return std::vector<StatusOr<std::string>>(items.size(), status);
   };
@@ -362,16 +377,24 @@ std::vector<StatusOr<std::string>> RpcClientService::ExecuteBatchTagged(
     // side) sends a single error result; fan it out index-aligned.
     Status status = results->empty()
                         ? Status::Internal("rpc: empty batch response")
-                        : (results->front().ok()
+                        : (results->front().value.ok()
                                ? Status::Internal(
                                      "rpc: batch response size mismatch")
-                               : results->front().status());
+                               : results->front().value.status());
     return fail_all(status);
   }
-  return std::move(*results);
+  std::vector<StatusOr<std::string>> values;
+  values.reserve(results->size());
+  for (size_t i = 0; i < results->size(); ++i) {
+    ComputeResult& result = (*results)[i];
+    if (stats != nullptr) (*stats)[i] = result.stat;
+    values.push_back(std::move(result.value));
+  }
+  return values;
 }
 
 StatusOr<DataService::ItemStat> RpcClientService::Stat(Key key) const {
+  if (auto parked = piggyback_.Take(key)) return *parked;
   JOINOPT_ASSIGN_OR_RETURN(std::string body,
                            Call(MsgType::kStatReq, EncodeKeyRequest(key),
                                 /*read=*/true));
@@ -410,11 +433,14 @@ StatusOr<std::vector<RegionRecord>> RpcClientService::SyncRegion(
 
 StatusOr<uint64_t> RpcClientService::Put(Key key, const std::string& value,
                                          uint64_t version_floor) {
-  JOINOPT_ASSIGN_OR_RETURN(
-      std::string body,
-      Call(MsgType::kPutReq, EncodePutRequest(key, value, version_floor)));
+  auto body =
+      Call(MsgType::kPutReq, EncodePutRequest(key, value, version_floor));
+  // Whether or not the write landed, a parked stat may now be older than
+  // the key's stored version.
+  piggyback_.Forget(key);
+  if (!body.ok()) return body.status();
   JOINOPT_ASSIGN_OR_RETURN(StatusOr<uint64_t> result,
-                           DecodePutResponse(body));
+                           DecodePutResponse(*body));
   return result;
 }
 

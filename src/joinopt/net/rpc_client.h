@@ -19,12 +19,20 @@
 // connection that saw a transport error is closed, never reused — after a
 // failed exchange the stream may hold a stale response that would desync
 // the next caller.
+//
+// Piggybacked stats (Section 4.3): Execute and ExecuteBatch park each ok
+// item's (size, version) from the response in a bounded StatPiggyback
+// table, and Stat(key) answers from it once before going to the wire. This
+// client's balanced reads already accept any replica, so a stat the
+// primary returned with the compute result is as fresh as a balanced
+// Stat. Put(key) clears the key's entry.
 #ifndef JOINOPT_NET_RPC_CLIENT_H_
 #define JOINOPT_NET_RPC_CLIENT_H_
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -37,6 +45,7 @@
 #include "joinopt/engine/hedging_manager.h"
 #include "joinopt/engine/types.h"
 #include "joinopt/net/socket.h"
+#include "joinopt/net/stat_piggyback.h"
 
 namespace joinopt {
 
@@ -127,11 +136,13 @@ class RpcClientService : public DataService {
   std::vector<StatusOr<std::string>> ExecuteBatch(
       const std::vector<std::pair<Key, std::string>>& items,
       const UserFn& fn) override;
+  /// Answered from the stat the last compute response for `key`
+  /// piggybacked, if one is parked; otherwise one round trip.
   StatusOr<ItemStat> Stat(Key key) const override;
   /// One round trip; kInvalidNode when every replica is unreachable.
   NodeId OwnerOf(Key key) const override;
 
-  /// Writes over the wire (frame v2); returns the new store version.
+  /// Writes over the wire; returns the new store version.
   /// Unimplemented when the server's service is not writable. A non-zero
   /// `version_floor` marks a replica write: the server applies with
   /// ApplyIfNewer semantics at the primary's version instead of assigning
@@ -144,12 +155,20 @@ class RpcClientService : public DataService {
   /// replay whose original response was lost is answered from the server's
   /// dedup cache instead of re-executing (exactly-once). The cluster layer
   /// uses this to keep the tag stable even when the retry lands on a
-  /// different node's client. client_id 0 disables dedup.
+  /// different node's client. client_id 0 disables dedup. `stats`
+  /// (optional) receives each item's piggybacked stat, index-aligned with
+  /// `items`; they are handed to the caller, not parked in this client's
+  /// table.
   std::vector<StatusOr<std::string>> ExecuteBatchTagged(
       const std::vector<std::pair<Key, std::string>>& items,
-      uint64_t client_id, uint64_t batch_seq);
+      uint64_t client_id, uint64_t batch_seq,
+      std::vector<std::optional<ItemStat>>* stats = nullptr);
+  /// Execute that hands the piggybacked stat to the caller through `stat`
+  /// (empty on any failure) instead of parking it in this client's table.
+  StatusOr<std::string> ExecuteWithStat(Key key, const std::string& params,
+                                        std::optional<ItemStat>* stat);
 
-  /// Anti-entropy verbs (frame v2, DESIGN.md §16). Unimplemented when the
+  /// Anti-entropy verbs (DESIGN.md §16). Unimplemented when the
   /// server's service carries no region state.
   StatusOr<RegionSummary> SummarizeRegion(int32_t region);
   StatusOr<std::vector<RegionRecord>> SyncRegion(
@@ -239,6 +258,8 @@ class RpcClientService : public DataService {
   mutable std::atomic<uint32_t> seq_{1};
   mutable std::atomic<uint64_t> batch_seq_{0};
   uint64_t client_id_ = 0;
+  /// Stats parked by Execute/ExecuteBatch for the next Stat of each key.
+  mutable StatPiggyback piggyback_;
 
   mutable Mutex rec_mu_{lock_rank::kClientRecovery,
                         "RpcClientService::rec_mu_"};

@@ -243,8 +243,7 @@ void RpcServer::ServeConnection(int fd) {
     }
     Status sent = SendFrame(fd, resp_type, frame->header.seq, resp_body,
                             options_.send_deadline,
-                            options_.max_frame_bytes,
-                            EchoWireVersion(frame->header.version));
+                            options_.max_frame_bytes);
     if (!sent.ok()) break;
     stats_.bytes_out += static_cast<int64_t>(kFrameHeaderBytes +
                                              resp_body.size());
@@ -263,13 +262,12 @@ void RpcServer::ServeConnection(int fd) {
 
 void RpcServer::ServeSubscription(int fd, const FrameHeader& header,
                                   const std::string& body) {
-  // Subscriptions are v2-only and require a writable service; neither
-  // failure mode has an in-band error slot (the response body is a bare
-  // snapshot), so the stream is refused by closing the connection — the
-  // same signal a subscriber handles for crashes.
+  // Subscriptions need the current wire version and a writable service;
+  // neither failure mode has an in-band error slot (the response body is a
+  // bare snapshot), so the stream is refused by closing the connection —
+  // the same signal a subscriber handles for crashes.
   WritableDataService* writable = dispatcher_.writable();
-  if (writable == nullptr || header.version < 2 ||
-      !SupportedWireVersion(header.version)) {
+  if (writable == nullptr || !SupportedWireVersion(header.version)) {
     ++stats_.protocol_errors;
     return;
   }
@@ -287,8 +285,7 @@ void RpcServer::ServeSubscription(int fd, const FrameHeader& header,
   writable->AddUpdateSink(&sink);
   Status sent = SendFrame(fd, MsgType::kSubscribeResp, header.seq,
                           EncodeSubscribeResponse(writable->EpochSnapshot()),
-                          options_.send_deadline, options_.max_frame_bytes,
-                          header.version);
+                          options_.send_deadline, options_.max_frame_bytes);
   if (sent.ok()) {
     ++stats_.subscriptions;
     uint32_t push_seq = 0;
@@ -300,7 +297,7 @@ void RpcServer::ServeSubscription(int fd, const FrameHeader& header,
         Status pushed = SendFrame(fd, MsgType::kNotifyEvt, push_seq++,
                                   EncodeNotifyEvent(event),
                                   options_.send_deadline,
-                                  options_.max_frame_bytes, header.version);
+                                  options_.max_frame_bytes);
         if (!pushed.ok()) {
           failed = true;
           break;
@@ -345,6 +342,7 @@ RpcServerStats RpcServer::stats() const {
   out.notify_events = stats_.notify_events.load(std::memory_order_relaxed);
   out.batch_dedup_hits =
       stats_.batch_dedup_hits.load(std::memory_order_relaxed);
+  out.stat_requests = stats_.stat_requests.load(std::memory_order_relaxed);
   out.server_threads =
       stats_.server_threads.load(std::memory_order_relaxed);
   out.live_connections =

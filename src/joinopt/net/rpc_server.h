@@ -34,12 +34,12 @@
 // ExecuteBatch requests name only (key, params). The client's fn argument
 // is ignored (see DataService::Execute's contract in engine/async_api.h).
 //
-// Wire v2 (see frame.h): the server additionally speaks Put, the
-// Subscribe/Notify invalidation stream, and tagged ExecuteBatch with
-// server-side replay dedup — but only when the wrapped service implements
-// WritableDataService (discovered by dynamic_cast at construction). v1
-// clients are still served for the five original verbs, with responses
-// stamped v1 so old readers parse them.
+// Besides the five read/compute verbs the server speaks Put, the
+// Subscribe/Notify invalidation stream and the anti-entropy verbs, but
+// only when the wrapped service implements WritableDataService (discovered
+// by dynamic_cast at construction). Tagged ExecuteBatch gets server-side
+// replay dedup. Frames of any version but kWireVersion are refused
+// in-band (see frame.h).
 #ifndef JOINOPT_NET_RPC_SERVER_H_
 #define JOINOPT_NET_RPC_SERVER_H_
 
@@ -123,6 +123,10 @@ struct RpcServerStats {
   int64_t subscriptions = 0;    ///< Subscribe streams established
   int64_t notify_events = 0;    ///< kNotifyEvt frames pushed
   int64_t batch_dedup_hits = 0;  ///< tagged batches answered from cache
+  /// Stat requests served. Clients answer the Stat that follows a compute
+  /// request from the response's piggybacked stat, so on a compute-heavy
+  /// workload this stays near zero (DESIGN.md §10).
+  int64_t stat_requests = 0;
   /// Gauge: threads currently dedicated to serving (acceptor + connection
   /// threads, or IO + worker threads). The reactor's headline property is
   /// that this stays flat as connections scale.

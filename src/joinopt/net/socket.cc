@@ -302,11 +302,9 @@ Status RecvAll(int fd, void* data, size_t len, double deadline_sec) {
 }
 
 Status SendFrame(int fd, MsgType type, uint32_t seq, std::string_view body,
-                 double deadline_sec, size_t max_frame_bytes,
-                 uint8_t version) {
-  JOINOPT_ASSIGN_OR_RETURN(
-      std::string frame, BuildFrame(type, seq, body, max_frame_bytes,
-                                    version));
+                 double deadline_sec, size_t max_frame_bytes) {
+  JOINOPT_ASSIGN_OR_RETURN(std::string frame,
+                           BuildFrame(type, seq, body, max_frame_bytes));
   return SendAll(fd, frame.data(), frame.size(), deadline_sec);
 }
 

@@ -19,13 +19,8 @@ std::pair<MsgType, std::string> VerbDispatcher::Dispatch(
 
   // Version mismatch: answer in-band so an old/new client reads an error
   // instead of hanging, then the connection is still usable (the *frame*
-  // layout is frozen across versions; only body encodings move). A v2-only
-  // verb arriving on a v1 frame is the same kind of mismatch.
-  bool verb_needs_v2 = header.type == MsgType::kPutReq ||
-                       header.type == MsgType::kRegionSummaryReq ||
-                       header.type == MsgType::kRegionSyncReq;
-  if (!SupportedWireVersion(header.version) ||
-      (verb_needs_v2 && header.version < 2)) {
+  // layout is frozen across versions; only body encodings move).
+  if (!SupportedWireVersion(header.version)) {
     ++stats_->protocol_errors;
     Status mismatch = Status::FailedPrecondition(
         "wire version mismatch: server=" + std::to_string(kWireVersion) +
@@ -34,9 +29,9 @@ std::pair<MsgType, std::string> VerbDispatcher::Dispatch(
       case MsgType::kFetchReq:
         return {resp_type, EncodeFetchResponse(mismatch)};
       case MsgType::kExecuteReq:
-        return {resp_type, EncodeExecuteResponse(mismatch)};
+        return {resp_type, EncodeExecuteResponse({mismatch, std::nullopt})};
       case MsgType::kBatchReq:
-        return {resp_type, EncodeBatchResponse({mismatch})};
+        return {resp_type, EncodeBatchResponse({{mismatch, std::nullopt}})};
       case MsgType::kStatReq:
         return {resp_type, EncodeStatResponse(mismatch)};
       case MsgType::kPutReq:
@@ -61,31 +56,22 @@ std::pair<MsgType, std::string> VerbDispatcher::Dispatch(
     case MsgType::kExecuteReq: {
       auto req = DecodeExecuteRequest(body);
       if (!req.ok()) {
-        return {resp_type, EncodeExecuteResponse(req.status())};
+        return {resp_type, EncodeExecuteResponse({req.status(), std::nullopt})};
       }
-      return {resp_type, EncodeExecuteResponse(
-                             inner_->Execute(req->key, req->params, fn_))};
+      ComputeResult result =
+          WithStat(req->key, inner_->Execute(req->key, req->params, fn_));
+      return {resp_type, EncodeExecuteResponse(result)};
     }
     case MsgType::kBatchReq: {
-      // v1 frames carry the untagged body; v2 frames are tagged with
-      // (client_id, batch_seq) and go through the replay-dedup path.
-      if (header.version >= 2) {
-        auto req = DecodeTaggedBatchRequest(body);
-        if (!req.ok()) {
-          return {resp_type, EncodeBatchResponse({req.status()})};
-        }
-        stats_->batch_items += static_cast<int64_t>(req->items.size());
-        return {resp_type, DispatchTaggedBatch(*req)};
+      auto req = DecodeTaggedBatchRequest(body);
+      if (!req.ok()) {
+        return {resp_type, EncodeBatchResponse({{req.status(), std::nullopt}})};
       }
-      auto items = DecodeBatchRequest(body);
-      if (!items.ok()) {
-        return {resp_type, EncodeBatchResponse({items.status()})};
-      }
-      stats_->batch_items += static_cast<int64_t>(items->size());
-      return {resp_type,
-              EncodeBatchResponse(inner_->ExecuteBatch(*items, fn_))};
+      stats_->batch_items += static_cast<int64_t>(req->items.size());
+      return {resp_type, DispatchTaggedBatch(*req)};
     }
     case MsgType::kStatReq: {
+      ++stats_->stat_requests;
       auto key = DecodeKeyRequest(body);
       if (!key.ok()) return {resp_type, EncodeStatResponse(key.status())};
       return {resp_type, EncodeStatResponse(inner_->Stat(*key))};
@@ -144,10 +130,32 @@ std::pair<MsgType, std::string> VerbDispatcher::Dispatch(
   }
 }
 
+ComputeResult VerbDispatcher::WithStat(Key key,
+                                       StatusOr<std::string> value) const {
+  ComputeResult result{std::move(value), std::nullopt};
+  if (result.value.ok()) {
+    auto stat = inner_->Stat(key);
+    if (stat.ok()) result.stat = *stat;
+  }
+  return result;
+}
+
+std::string VerbDispatcher::ExecuteAndEncodeBatch(
+    const TaggedBatchRequest& req) {
+  std::vector<StatusOr<std::string>> values =
+      inner_->ExecuteBatch(req.items, fn_);
+  std::vector<ComputeResult> results;
+  results.reserve(values.size());
+  for (size_t i = 0; i < values.size(); ++i) {
+    results.push_back(WithStat(req.items[i].first, std::move(values[i])));
+  }
+  return EncodeBatchResponse(results);
+}
+
 std::string VerbDispatcher::DispatchTaggedBatch(const TaggedBatchRequest& req) {
   // client_id 0 opts out of dedup (one-shot clients that never retry).
   if (req.client_id == 0 || dedup_capacity_ == 0) {
-    return EncodeBatchResponse(inner_->ExecuteBatch(req.items, fn_));
+    return ExecuteAndEncodeBatch(req);
   }
   const std::pair<uint64_t, uint64_t> tag{req.client_id, req.batch_seq};
   std::shared_ptr<DedupEntry> entry;
@@ -169,8 +177,7 @@ std::string VerbDispatcher::DispatchTaggedBatch(const TaggedBatchRequest& req) {
     dedup_order_.push_back(tag);
   }
 
-  std::string response = EncodeBatchResponse(inner_->ExecuteBatch(req.items,
-                                                                  fn_));
+  std::string response = ExecuteAndEncodeBatch(req);
   {
     MutexLock lock(dedup_mu_);
     entry->done = true;

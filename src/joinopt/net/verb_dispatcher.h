@@ -1,9 +1,9 @@
 // VerbDispatcher: the backend-independent request/response core of the
 // RPC server. Both serving backends — the thread-per-connection loop in
 // rpc_server.cc and the epoll reactor in net/reactor/ — feed decoded
-// frames through one shared dispatcher, so verb semantics (version
-// negotiation, the v1/v2 compat table, tagged-batch replay dedup) are
-// defined exactly once and cannot drift between backends.
+// frames through one shared dispatcher, so verb semantics (the version
+// check, the stats piggybacked on compute responses, tagged-batch replay
+// dedup) are defined exactly once and cannot drift between backends.
 //
 // Thread safety: Dispatch is called concurrently from connection threads
 // (legacy backend) or worker-pool threads (reactor). The only internal
@@ -43,6 +43,7 @@ struct RpcAtomicStats {
   std::atomic<int64_t> subscriptions{0};
   std::atomic<int64_t> notify_events{0};
   std::atomic<int64_t> batch_dedup_hits{0};
+  std::atomic<int64_t> stat_requests{0};
   // ---- gauges + reactor-era counters ----
   /// Threads currently serving (acceptor + per-connection threads for the
   /// legacy backend; IO threads + workers for the reactor). The reactor's
@@ -60,13 +61,6 @@ struct RpcAtomicStats {
 /// True when the server can parse frames stamped with this version.
 inline bool SupportedWireVersion(uint8_t v) {
   return v >= kMinWireVersion && v <= kWireVersion;
-}
-
-/// The version responses to a request are stamped with: the client's own
-/// version when we speak it (so v1 readers parse v2-server answers), ours
-/// when the client's is alien (best effort on an error path).
-inline uint8_t EchoWireVersion(uint8_t v) {
-  return SupportedWireVersion(v) ? v : kWireVersion;
 }
 
 class VerbDispatcher {
@@ -102,6 +96,12 @@ class VerbDispatcher {
 
   /// ExecuteBatch with replay dedup; returns the encoded response body.
   std::string DispatchTaggedBatch(const TaggedBatchRequest& req);
+  /// Executes the batch and encodes the response, each ok result with the
+  /// item's piggybacked stat.
+  std::string ExecuteAndEncodeBatch(const TaggedBatchRequest& req);
+  /// Attaches the item's stat to an ok compute result: the same in-process
+  /// lookup a Stat request runs, minus the network (Section 4.3).
+  ComputeResult WithStat(Key key, StatusOr<std::string> value) const;
 
   DataService* inner_;
   WritableDataService* writable_;  ///< non-null iff inner is one

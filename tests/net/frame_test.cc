@@ -4,6 +4,7 @@
 // code), and malformed frames are rejected rather than misparsed.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -109,9 +110,14 @@ TEST(FrameCodecTest, BatchRequestRoundTrip) {
     for (size_t i = 0; i < n; ++i) {
       items.emplace_back(rng.Next(), RandomBytes(rng, 128));
     }
-    auto decoded = DecodeBatchRequest(EncodeBatchRequest(items));
+    uint64_t client_id = rng.Next();
+    uint64_t batch_seq = rng.Next();
+    auto decoded = DecodeTaggedBatchRequest(
+        EncodeTaggedBatchRequest(client_id, batch_seq, items));
     ASSERT_TRUE(decoded.ok()) << decoded.status();
-    EXPECT_EQ(*decoded, items);
+    EXPECT_EQ(decoded->client_id, client_id);
+    EXPECT_EQ(decoded->batch_seq, batch_seq);
+    EXPECT_EQ(decoded->items, items);
   }
 }
 
@@ -119,9 +125,11 @@ TEST(FrameCodecTest, BatchRequestRejectsLyingCount) {
   // A count field claiming more items than the frame could possibly hold
   // must fail parsing, not drive a giant reserve().
   std::string body;
+  PutU64(&body, 1);  // client_id
+  PutU64(&body, 2);  // batch_seq
   PutU32(&body, 0x40000000);
   PutU64(&body, 7);
-  EXPECT_FALSE(DecodeBatchRequest(body).ok());
+  EXPECT_FALSE(DecodeTaggedBatchRequest(body).ok());
 }
 
 TEST(FrameCodecTest, FetchResponseRoundTrip) {
@@ -145,50 +153,97 @@ TEST(FrameCodecTest, FetchResponseRoundTrip) {
   }
 }
 
+/// A random compute result: an error (no stat on the wire), or an ok
+/// payload with or without its piggybacked stat.
+ComputeResult RandomComputeResult(Rng& rng) {
+  if (rng.Bernoulli(0.3)) return ComputeResult{RandomError(rng), std::nullopt};
+  ComputeResult result{RandomBytes(rng, 256), std::nullopt};
+  if (rng.Bernoulli(0.7)) {
+    result.stat = DataService::ItemStat{rng.Uniform(0, 1e12), rng.Next()};
+  }
+  return result;
+}
+
+void ExpectSameComputeResult(const ComputeResult& got,
+                             const ComputeResult& want) {
+  ASSERT_EQ(got.value.ok(), want.value.ok());
+  if (want.value.ok()) {
+    EXPECT_EQ(*got.value, *want.value);
+  } else {
+    EXPECT_EQ(got.value.status(), want.value.status());
+  }
+  ASSERT_EQ(got.stat.has_value(), want.stat.has_value());
+  if (want.stat.has_value()) {
+    EXPECT_EQ(got.stat->size_bytes, want.stat->size_bytes);
+    EXPECT_EQ(got.stat->version, want.stat->version);
+  }
+}
+
 TEST(FrameCodecTest, ExecuteResponseRoundTrip) {
   Rng rng(5);
   for (int i = 0; i < 100; ++i) {
+    // Ok with the piggybacked stat (the common case)...
     std::string value = RandomBytes(rng, 1024);
-    auto decoded =
-        DecodeExecuteResponse(EncodeExecuteResponse(StatusOr<std::string>(value)));
-    ASSERT_TRUE(decoded.ok());
-    ASSERT_TRUE(decoded->ok());
-    EXPECT_EQ(**decoded, value);
+    DataService::ItemStat stat{rng.Uniform(0, 1e12), rng.Next()};
+    auto with_stat =
+        DecodeExecuteResponse(EncodeExecuteResponse({value, stat}));
+    ASSERT_TRUE(with_stat.ok()) << with_stat.status();
+    ExpectSameComputeResult(*with_stat, {value, stat});
+    // ...and ok without one (the server could not read the item's stat).
+    auto without =
+        DecodeExecuteResponse(EncodeExecuteResponse({value, std::nullopt}));
+    ASSERT_TRUE(without.ok()) << without.status();
+    ExpectSameComputeResult(*without, {value, std::nullopt});
   }
   for (int i = 0; i < 50; ++i) {
     Status err = RandomError(rng);
-    auto decoded = DecodeExecuteResponse(
-        EncodeExecuteResponse(StatusOr<std::string>(err)));
-    ASSERT_TRUE(decoded.ok());
-    ASSERT_FALSE(decoded->ok());
-    EXPECT_EQ(decoded->status(), err);
+    auto decoded = DecodeExecuteResponse(EncodeExecuteResponse({err, {}}));
+    ASSERT_TRUE(decoded.ok()) << decoded.status();
+    ExpectSameComputeResult(*decoded, {err, std::nullopt});
   }
+  // An error result carries no stat on the wire even if one is supplied.
+  auto err_with_stat = DecodeExecuteResponse(EncodeExecuteResponse(
+      {Status::NotFound("gone"), DataService::ItemStat{1, 2}}));
+  ASSERT_TRUE(err_with_stat.ok()) << err_with_stat.status();
+  EXPECT_FALSE(err_with_stat->stat.has_value());
 }
 
 TEST(FrameCodecTest, BatchResponseRoundTripMixedResults) {
   Rng rng(6);
   for (int trial = 0; trial < 50; ++trial) {
-    std::vector<StatusOr<std::string>> results;
+    std::vector<ComputeResult> results;
     size_t n = rng.NextBounded(33);
-    for (size_t i = 0; i < n; ++i) {
-      if (rng.Bernoulli(0.3)) {
-        results.emplace_back(RandomError(rng));
-      } else {
-        results.emplace_back(RandomBytes(rng, 256));
-      }
-    }
+    for (size_t i = 0; i < n; ++i) results.push_back(RandomComputeResult(rng));
     auto decoded = DecodeBatchResponse(EncodeBatchResponse(results));
     ASSERT_TRUE(decoded.ok()) << decoded.status();
     ASSERT_EQ(decoded->size(), results.size());
     for (size_t i = 0; i < n; ++i) {
-      ASSERT_EQ((*decoded)[i].ok(), results[i].ok());
-      if (results[i].ok()) {
-        EXPECT_EQ(*(*decoded)[i], *results[i]);
-      } else {
-        EXPECT_EQ((*decoded)[i].status(), results[i].status());
-      }
+      ExpectSameComputeResult((*decoded)[i], results[i]);
     }
   }
+}
+
+TEST(FrameCodecTest, BatchResponseRejectsLyingCount) {
+  // Every result takes at least 6 bytes; a count the frame cannot hold is
+  // a corrupt frame, not an allocation request.
+  std::string body = EncodeBatchResponse(
+      {{std::string("v"), DataService::ItemStat{1, 2}}});
+  body[0] = 0x7f;  // count = 127 with one result's bytes behind it
+  EXPECT_FALSE(DecodeBatchResponse(body).ok());
+  std::string huge;
+  PutU32(&huge, 0xFFFFFFFFu);
+  PutU8(&huge, 1);
+  EXPECT_FALSE(DecodeBatchResponse(huge).ok());
+}
+
+TEST(FrameCodecTest, ComputeResponseRejectsBadStatFlag) {
+  std::string body = EncodeExecuteResponse({std::string("v"), std::nullopt});
+  ASSERT_TRUE(DecodeExecuteResponse(body).ok());
+  body.back() = 2;  // the present flag is 0 or 1
+  EXPECT_FALSE(DecodeExecuteResponse(body).ok());
+  // A flag of 1 with the stat missing is a truncation, not a success.
+  body.back() = 1;
+  EXPECT_FALSE(DecodeExecuteResponse(body).ok());
 }
 
 TEST(FrameCodecTest, StatResponseRoundTrip) {
@@ -225,9 +280,9 @@ TEST(FrameCodecTest, TruncationNeverParses) {
   for (int i = 0; i < 5; ++i) {
     items.emplace_back(rng.Next(), RandomBytes(rng, 64));
   }
-  std::string full = EncodeBatchRequest(items);
+  std::string full = EncodeTaggedBatchRequest(1, 2, items);
   for (size_t cut = 0; cut < full.size(); ++cut) {
-    EXPECT_FALSE(DecodeBatchRequest(full.substr(0, cut)).ok());
+    EXPECT_FALSE(DecodeTaggedBatchRequest(full.substr(0, cut)).ok());
   }
 
   std::string resp = EncodeFetchResponse(
@@ -235,6 +290,25 @@ TEST(FrameCodecTest, TruncationNeverParses) {
   for (size_t cut = 0; cut < resp.size(); ++cut) {
     EXPECT_FALSE(DecodeFetchResponse(resp.substr(0, cut)).ok());
   }
+
+  // The v3 compute responses: ok with a stat, ok without, an error, and a
+  // batch mixing all three.
+  const std::vector<ComputeResult> mix = {
+      {std::string("with-stat"), DataService::ItemStat{100, 7}},
+      {std::string("no-stat"), std::nullopt},
+      {Status::NotFound("gone"), std::nullopt}};
+  for (const ComputeResult& one : mix) {
+    std::string exec = EncodeExecuteResponse(one);
+    for (size_t cut = 0; cut < exec.size(); ++cut) {
+      EXPECT_FALSE(DecodeExecuteResponse(exec.substr(0, cut)).ok());
+    }
+    EXPECT_FALSE(DecodeExecuteResponse(exec + "x").ok());
+  }
+  std::string batch = EncodeBatchResponse(mix);
+  for (size_t cut = 0; cut < batch.size(); ++cut) {
+    EXPECT_FALSE(DecodeBatchResponse(batch.substr(0, cut)).ok());
+  }
+  EXPECT_FALSE(DecodeBatchResponse(batch + "x").ok());
 }
 
 TEST(FrameCodecTest, ResponseTypeMapping) {
@@ -250,7 +324,7 @@ TEST(FrameCodecTest, ResponseTypeMapping) {
   EXPECT_EQ(ResponseTypeFor(MsgType::kNotifyEvt), static_cast<MsgType>(0));
 }
 
-// ---- wire v2 -------------------------------------------------------------
+// ---- versions and the write path -----------------------------------------
 
 TEST(FrameHeaderTest, BothSupportedVersionsParse) {
   for (uint8_t version : {kMinWireVersion, kWireVersion}) {
@@ -260,50 +334,6 @@ TEST(FrameHeaderTest, BothSupportedVersionsParse) {
     auto h = ParseFrameHeader(buf, kDefaultMaxFrameBytes);
     ASSERT_TRUE(h.ok()) << h.status();
     EXPECT_EQ(h->version, version);
-  }
-}
-
-/// The backward-compatibility property: the five v1 verb bodies are
-/// byte-identical under v2 (the codec functions are shared and
-/// version-free), and a tagged batch is exactly a 16-byte (client_id,
-/// batch_seq) prefix in front of the v1 batch body — so a v1 reader given
-/// a v2 response body for any of the five verbs parses it unchanged.
-TEST(FrameCodecTest, V1BodiesAreV2CompatibleProperty) {
-  Rng rng(0xC0117A7);
-  for (int i = 0; i < 64; ++i) {
-    std::vector<std::pair<Key, std::string>> items;
-    for (int j = 0; j < static_cast<int>(rng.NextBounded(6)); ++j) {
-      items.emplace_back(rng.Next(), RandomBytes(rng, 64));
-    }
-    uint64_t client_id = rng.Next();
-    uint64_t batch_seq = rng.Next();
-    std::string tagged = EncodeTaggedBatchRequest(client_id, batch_seq, items);
-    std::string untagged = EncodeBatchRequest(items);
-    ASSERT_EQ(tagged.size(), untagged.size() + 16);
-    EXPECT_EQ(tagged.substr(16), untagged)
-        << "tagged batch must wrap the v1 body byte-identically";
-    auto decoded = DecodeTaggedBatchRequest(tagged);
-    ASSERT_TRUE(decoded.ok()) << decoded.status();
-    EXPECT_EQ(decoded->client_id, client_id);
-    EXPECT_EQ(decoded->batch_seq, batch_seq);
-    EXPECT_EQ(decoded->items, items);
-
-    // Any v1-verb body round-trips identically regardless of the header
-    // version framing it.
-    Key key = rng.Next();
-    std::string body = EncodeKeyRequest(key);
-    for (uint8_t version : {kMinWireVersion, kWireVersion}) {
-      auto frame = BuildFrame(MsgType::kFetchReq, 1, body,
-                              kDefaultMaxFrameBytes, version);
-      ASSERT_TRUE(frame.ok());
-      auto h = ParseFrameHeader(frame->substr(0, kFrameHeaderBytes),
-                                kDefaultMaxFrameBytes);
-      ASSERT_TRUE(h.ok());
-      EXPECT_EQ(h->version, version);
-      auto k = DecodeKeyRequest(frame->substr(kFrameHeaderBytes));
-      ASSERT_TRUE(k.ok());
-      EXPECT_EQ(*k, key);
-    }
   }
 }
 

@@ -175,8 +175,8 @@ TEST(ReactorTest, PipelinedResponsesCompleteOutOfOrder) {
   EXPECT_EQ(second->header.seq, 1u);
   EXPECT_EQ(second->header.type, MsgType::kExecuteResp);
   auto executed = DecodeExecuteResponse(second->body);
-  ASSERT_TRUE(executed.ok() && executed->ok()) << executed.status();
-  EXPECT_EQ(executed->value(), "7/slow/payload-7");
+  ASSERT_TRUE(executed.ok() && executed->value.ok()) << executed.status();
+  EXPECT_EQ(*executed->value, "7/slow/payload-7");
 }
 
 TEST(ReactorTest, ThousandIdleConnectionsKeepThreadCountFlat) {
@@ -276,8 +276,8 @@ TEST(ReactorTest, FloodPastPipelineBoundPausesReadsThenServesAll) {
     EXPECT_TRUE(seqs.insert(frame->header.seq).second)
         << "duplicate response for seq " << frame->header.seq;
     auto executed = DecodeExecuteResponse(frame->body);
-    ASSERT_TRUE(executed.ok() && executed->ok()) << executed.status();
-    EXPECT_EQ(executed->value(),
+    ASSERT_TRUE(executed.ok() && executed->value.ok()) << executed.status();
+    EXPECT_EQ(*executed->value,
               *fx.service.Execute(frame->header.seq, "p", fn));
   }
   EXPECT_EQ(seqs.size(), kRequests);

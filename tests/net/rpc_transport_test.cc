@@ -283,66 +283,90 @@ TEST(RpcTransportTest, KillServerMidBatchFailsOverToReplica) {
   EXPECT_GT(rpc.client().recovery_counters().failovers, rec.failovers);
 }
 
-TEST(RpcTransportTest, V1ClientSpeaksAllFiveVerbsToV2Server) {
-  // A frozen v1 client (frames stamped version=1, pre-Put/Subscribe body
-  // formats) against today's server: every one of the five original verbs
-  // must round-trip, and the server must answer in the client's version.
+TEST(RpcTransportTest, OldWireVersionsAreRefusedInBandOnBothBackends) {
+  // A v1 or v2 client (frames stamped with its version) against today's
+  // server: every verb is answered with a readable in-band
+  // FailedPrecondition instead of a hang or a misparse, on both serving
+  // backends, and the connection keeps serving current-version frames.
   StoreFixture fx;
-  LoopbackRpc rpc(&fx.service, EchoFn());
-  ASSERT_TRUE(rpc.status().ok()) << rpc.status();
+  for (RpcBackend backend :
+       {RpcBackend::kThreadPerConnection, RpcBackend::kReactor}) {
+    SCOPED_TRACE(backend == RpcBackend::kReactor ? "reactor" : "threaded");
+    RpcServerOptions sopts;
+    sopts.backend = backend;
+    LoopbackRpc rpc(&fx.service, EchoFn(), /*num_replicas=*/1, {}, sopts);
+    ASSERT_TRUE(rpc.status().ok()) << rpc.status();
+    for (uint8_t version : {uint8_t{1}, uint8_t{2}}) {
+      SCOPED_TRACE("client version " + std::to_string(version));
+      auto conn = TcpConnect(rpc.server().host(), rpc.server().port(), 1.0);
+      ASSERT_TRUE(conn.ok()) << conn.status();
+      uint32_t seq = 0;
+      auto exchange = [&](MsgType type, const std::string& body,
+                          uint8_t frame_version) -> StatusOr<std::string> {
+        std::string frame;
+        AppendFrameHeader(&frame, type, ++seq,
+                          static_cast<uint32_t>(body.size()), frame_version);
+        frame += body;
+        JOINOPT_RETURN_NOT_OK(
+            SendAll(conn->get(), frame.data(), frame.size(), 1.0));
+        JOINOPT_ASSIGN_OR_RETURN(
+            RecvdFrame resp,
+            RecvFrame(conn->get(), 2.0, kDefaultMaxFrameBytes));
+        EXPECT_EQ(resp.header.type, ResponseTypeFor(type));
+        EXPECT_EQ(resp.header.seq, seq);
+        return std::move(resp.body);
+      };
+      auto refused = [](const Status& status) {
+        return status.code() == StatusCode::kFailedPrecondition;
+      };
+      const Key key = 7;
 
-  auto conn = TcpConnect(rpc.server().host(), rpc.server().port(), 1.0);
-  ASSERT_TRUE(conn.ok()) << conn.status();
-  uint32_t seq = 0;
-  auto exchange = [&](MsgType type,
-                      const std::string& body) -> StatusOr<std::string> {
-    JOINOPT_RETURN_NOT_OK(SendFrame(conn->get(), type, ++seq, body, 1.0,
-                                    kDefaultMaxFrameBytes,
-                                    /*version=*/kMinWireVersion));
-    JOINOPT_ASSIGN_OR_RETURN(RecvdFrame frame,
-                             RecvFrame(conn->get(), 2.0,
-                                       kDefaultMaxFrameBytes));
-    EXPECT_EQ(frame.header.version, kMinWireVersion)
-        << "server must answer a v1 client in v1";
-    EXPECT_EQ(frame.header.type, ResponseTypeFor(type));
-    EXPECT_EQ(frame.header.seq, seq);
-    return std::move(frame.body);
-  };
+      auto fetch = exchange(MsgType::kFetchReq, EncodeKeyRequest(key), version);
+      ASSERT_TRUE(fetch.ok()) << fetch.status();
+      auto fetched = DecodeFetchResponse(*fetch);
+      ASSERT_TRUE(fetched.ok()) << fetched.status();
+      EXPECT_TRUE(refused(fetched->status())) << fetched->status();
 
-  Key key = 7;
-  auto fetch_body = exchange(MsgType::kFetchReq, EncodeKeyRequest(key));
-  ASSERT_TRUE(fetch_body.ok()) << fetch_body.status();
-  auto fetched = DecodeFetchResponse(*fetch_body);
-  ASSERT_TRUE(fetched.ok() && fetched->ok()) << fetched.status();
-  EXPECT_EQ(fetched->value().value, "payload-7");
+      auto exec = exchange(MsgType::kExecuteReq,
+                           EncodeExecuteRequest(key, "p"), version);
+      ASSERT_TRUE(exec.ok()) << exec.status();
+      auto executed = DecodeExecuteResponse(*exec);
+      ASSERT_TRUE(executed.ok()) << executed.status();
+      EXPECT_TRUE(refused(executed->value.status()));
 
-  auto exec_body =
-      exchange(MsgType::kExecuteReq, EncodeExecuteRequest(key, "p"));
-  ASSERT_TRUE(exec_body.ok()) << exec_body.status();
-  auto executed = DecodeExecuteResponse(*exec_body);
-  ASSERT_TRUE(executed.ok() && executed->ok()) << executed.status();
-  EXPECT_EQ(executed->value(), "7/p/payload-7");
+      auto batch = exchange(MsgType::kBatchReq,
+                            EncodeTaggedBatchRequest(0, 1, {{1, "a"}}),
+                            version);
+      ASSERT_TRUE(batch.ok()) << batch.status();
+      auto batched = DecodeBatchResponse(*batch);
+      ASSERT_TRUE(batched.ok()) << batched.status();
+      ASSERT_EQ(batched->size(), 1u);
+      EXPECT_TRUE(refused((*batched)[0].value.status()));
 
-  auto batch_body = exchange(
-      MsgType::kBatchReq, EncodeBatchRequest({{1, "a"}, {2, "b"}}));
-  ASSERT_TRUE(batch_body.ok()) << batch_body.status();
-  auto batch = DecodeBatchResponse(*batch_body);
-  ASSERT_TRUE(batch.ok()) << batch.status();
-  ASSERT_EQ(batch->size(), 2u);
-  EXPECT_EQ((*batch)[0].value(), "1/a/payload-1");
-  EXPECT_EQ((*batch)[1].value(), "2/b/payload-2");
+      auto stat = exchange(MsgType::kStatReq, EncodeKeyRequest(key), version);
+      ASSERT_TRUE(stat.ok()) << stat.status();
+      auto statted = DecodeStatResponse(*stat);
+      ASSERT_TRUE(statted.ok()) << statted.status();
+      EXPECT_TRUE(refused(statted->status()));
 
-  auto stat_body = exchange(MsgType::kStatReq, EncodeKeyRequest(key));
-  ASSERT_TRUE(stat_body.ok()) << stat_body.status();
-  auto stat = DecodeStatResponse(*stat_body);
-  ASSERT_TRUE(stat.ok() && stat->ok()) << stat.status();
-  EXPECT_EQ(stat->value().version, fx.store.VersionOf(key));
+      auto put = exchange(MsgType::kPutReq, EncodePutRequest(key, "x"),
+                          version);
+      ASSERT_TRUE(put.ok()) << put.status();
+      auto putted = DecodePutResponse(*put);
+      ASSERT_TRUE(putted.ok()) << putted.status();
+      EXPECT_TRUE(refused(putted->status()));
 
-  auto owner_body = exchange(MsgType::kOwnerReq, EncodeKeyRequest(key));
-  ASSERT_TRUE(owner_body.ok()) << owner_body.status();
-  auto owner = DecodeOwnerResponse(*owner_body);
-  ASSERT_TRUE(owner.ok()) << owner.status();
-  EXPECT_EQ(*owner, fx.service.OwnerOf(key));
+      // Only the body encodings moved; the frame layout did not, so the
+      // same connection still serves a current-version request.
+      auto current =
+          exchange(MsgType::kFetchReq, EncodeKeyRequest(key), kWireVersion);
+      ASSERT_TRUE(current.ok()) << current.status();
+      auto served = DecodeFetchResponse(*current);
+      ASSERT_TRUE(served.ok() && served->ok()) << served.status();
+      EXPECT_EQ(served->value().value, "payload-7");
+    }
+    EXPECT_EQ(rpc.server().stats().protocol_errors, 10);
+  }
 }
 
 TEST(RpcTransportTest, ReadBalancingSpreadsFetchesButWritesStayPrimary) {
