@@ -8,7 +8,6 @@
 //   --seconds=N   total soak length (default 10; CI uses 60, nightly 600)
 //   --seed=N      scenario seed (printed in the report; replays the schedule)
 //   --nodes=N     data nodes (default 4, rf=3)
-//   --backend=X   thread | reactor (serving backend under fault)
 //   --gate        exit nonzero unless every gate passes (CI mode)
 #include <cinttypes>
 #include <cstdio>
@@ -29,8 +28,7 @@ bool ParseInt64Flag(const char* arg, const char* name, int64_t* out) {
   return true;
 }
 
-void WriteJson(const ChaosSoakReport& r, const ChaosSoakOptions& opts,
-               const char* backend_name) {
+void WriteJson(const ChaosSoakReport& r, const ChaosSoakOptions& opts) {
   FILE* json = std::fopen("BENCH_chaos_soak.json", "w");
   if (json == nullptr) {
     std::fprintf(stderr, "cannot write BENCH_chaos_soak.json\n");
@@ -43,7 +41,6 @@ void WriteJson(const ChaosSoakReport& r, const ChaosSoakOptions& opts,
   std::fprintf(json, "  \"nodes\": %d,\n", opts.num_nodes);
   std::fprintf(json, "  \"replication_factor\": %d,\n",
                opts.replication_factor);
-  std::fprintf(json, "  \"backend\": \"%s\",\n", backend_name);
   std::fprintf(json, "  \"passed\": %s,\n", r.passed ? "true" : "false");
   std::fprintf(json, "  \"faults\": {\n");
   std::fprintf(json, "    \"kills\": %d,\n", r.kills);
@@ -122,7 +119,6 @@ int main(int argc, char** argv) {
 
   ChaosSoakOptions opts;
   bool gate = false;
-  const char* backend_name = "thread";
   for (int i = 1; i < argc; ++i) {
     int64_t v = 0;
     if (ParseInt64Flag(argv[i], "--seconds", &v)) {
@@ -135,18 +131,12 @@ int main(int argc, char** argv) {
       opts.put_fraction = static_cast<double>(v) / 100.0;
     } else if (ParseInt64Flag(argv[i], "--batch_pct", &v)) {
       opts.batch_fraction = static_cast<double>(v) / 100.0;
-    } else if (std::strcmp(argv[i], "--backend=reactor") == 0) {
-      opts.backend = RpcBackend::kReactor;
-      backend_name = "reactor";
-    } else if (std::strcmp(argv[i], "--backend=thread") == 0) {
-      opts.backend = RpcBackend::kThreadPerConnection;
-      backend_name = "thread";
     } else if (std::strcmp(argv[i], "--gate") == 0) {
       gate = true;
     } else {
       std::fprintf(stderr,
                    "usage: %s [--seconds=N] [--seed=N] [--nodes=N] "
-                   "[--backend=thread|reactor] [--gate]\n",
+                   "[--put_pct=N] [--batch_pct=N] [--gate]\n",
                    argv[0]);
       return 2;
     }
@@ -160,9 +150,9 @@ int main(int argc, char** argv) {
       "the consistency mode, monotone epochs, bounded RSS — and repair "
       "re-converges replicas live, without restart");
 
-  std::printf("soak: %ds, seed=%" PRIu64 ", %d nodes (rf=%d), backend=%s\n",
+  std::printf("soak: %ds, seed=%" PRIu64 ", %d nodes (rf=%d)\n",
               static_cast<int>(opts.seconds), opts.seed, opts.num_nodes,
-              opts.replication_factor, backend_name);
+              opts.replication_factor);
   std::fflush(stdout);
 
   ChaosSoakReport r = RunChaosSoak(opts);
@@ -207,6 +197,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  WriteJson(r, opts, backend_name);
+  WriteJson(r, opts);
   return gate && !r.passed ? 1 : 0;
 }

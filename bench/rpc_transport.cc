@@ -227,10 +227,9 @@ ZipfResult RunZipf(RpcClientService& remote, const Config& cfg,
   return out;
 }
 
-// ---- connection-count scaling: threaded vs reactor backend -------------
+// ---- connection-count scaling -----------------------------------------
 
 struct ConnScaleResult {
-  const char* backend = "";
   int connections = 0;
   double ops_per_sec = 0;
   LatencyRecorder latency;
@@ -252,16 +251,14 @@ int64_t CurrentRssBytes() {
   return kb * 1024;
 }
 
-/// One row: `num_conns` idle connections held open against a fresh server
-/// on `backend`, RTT probes measured through the idle swarm. The axis the
-/// two backends diverge on: threads and memory per idle connection.
-ConnScaleResult RunConnScale(const Config& cfg, RpcBackend backend,
-                             const char* backend_name, int num_conns) {
+/// One row: `num_conns` idle connections held open against a fresh
+/// server, RTT probes measured through the idle swarm: threads and memory
+/// per idle connection.
+ConnScaleResult RunConnScale(const Config& cfg, int num_conns) {
   LogStructuredStore store;
   SeedStore(&store, cfg);
   LogStoreDataService service(&store);
   RpcServerOptions sopts;
-  sopts.backend = backend;
   sopts.accept_backlog = 512;
   RpcServer server(&service, MixUdf(), sopts);
   Status started = server.Start();
@@ -302,7 +299,6 @@ ConnScaleResult RunConnScale(const Config& cfg, RpcBackend backend,
     if (stat.ok()) r.latency.Observe(PlanNowSeconds() - s0);
   }
   double elapsed = PlanNowSeconds() - t0;
-  r.backend = backend_name;
   r.connections = num_conns;
   r.ops_per_sec = elapsed > 0 ? probes / elapsed : 0;
   r.server_threads = server.stats().server_threads;
@@ -312,32 +308,23 @@ ConnScaleResult RunConnScale(const Config& cfg, RpcBackend backend,
 
 std::vector<ConnScaleResult> RunConnScaling(const Config& cfg,
                                             double scale) {
-  // 10k connections (and threaded-backend thread counts to match) only at
-  // scale >= 4: this axis is expensive on small CI boxes.
+  // 10k connections only at scale >= 4: this axis is expensive on small
+  // CI boxes.
   std::vector<int> counts = {100, 1000};
   if (scale >= 4.0) counts.push_back(10000);
 
   std::printf("\nconnection scaling (idle connections held open):\n");
-  std::printf("%10s %12s %12s %12s %12s %10s %10s\n", "backend", "conns",
-              "ops/sec", "p50 us", "p999 us", "threads", "rss MB");
+  std::printf("%12s %12s %12s %12s %10s %10s\n", "conns", "ops/sec",
+              "p50 us", "p999 us", "threads", "rss MB");
   std::vector<ConnScaleResult> rows;
-  for (RpcBackend backend :
-       {RpcBackend::kThreadPerConnection, RpcBackend::kReactor}) {
-    const char* name =
-        backend == RpcBackend::kReactor ? "reactor" : "threaded";
-    for (int n : counts) {
-      // A thread per connection at 10k threads is exactly the failure
-      // mode the reactor exists to avoid; don't make CI live it.
-      if (backend == RpcBackend::kThreadPerConnection && n > 1000) continue;
-      ConnScaleResult r = RunConnScale(cfg, backend, name, n);
-      std::printf("%10s %12d %12.0f %12.1f %12.1f %10" PRId64 " %9.1f\n",
-                  r.backend, r.connections, r.ops_per_sec,
-                  r.latency.p50() * 1e6, r.latency.p999() * 1e6,
-                  r.server_threads,
-                  static_cast<double>(r.rss_bytes) / 1e6);
-      std::fflush(stdout);
-      rows.push_back(std::move(r));
-    }
+  for (int n : counts) {
+    ConnScaleResult r = RunConnScale(cfg, n);
+    std::printf("%12d %12.0f %12.1f %12.1f %10" PRId64 " %9.1f\n",
+                r.connections, r.ops_per_sec, r.latency.p50() * 1e6,
+                r.latency.p999() * 1e6, r.server_threads,
+                static_cast<double>(r.rss_bytes) / 1e6);
+    std::fflush(stdout);
+    rows.push_back(std::move(r));
   }
   return rows;
 }
@@ -523,11 +510,10 @@ int Main(int argc, char** argv) {
   for (size_t i = 0; i < conn_rows.size(); ++i) {
     const ConnScaleResult& r = conn_rows[i];
     std::fprintf(json,
-                 "    {\"backend\": \"%s\", \"connections\": %d, "
+                 "    {\"connections\": %d, "
                  "\"ops_per_sec\": %.1f, \"server_threads\": %" PRId64
                  ", \"rss_bytes\": %" PRId64 ", ",
-                 r.backend, r.connections, r.ops_per_sec, r.server_threads,
-                 r.rss_bytes);
+                 r.connections, r.ops_per_sec, r.server_threads, r.rss_bytes);
     r.latency.JsonFields(json, "rtt");
     std::fprintf(json, "}%s\n", i + 1 < conn_rows.size() ? "," : "");
   }

@@ -106,7 +106,6 @@ ChaosSoakReport RunChaosSoak(const ChaosSoakOptions& options) {
   dopts.topology.num_data_nodes = options.num_nodes;
   dopts.topology.regions_per_node = options.regions_per_node;
   dopts.topology.replication_factor = options.replication_factor;
-  dopts.server.backend = options.backend;
   dopts.client.read_consistency = options.read_consistency;
   dopts.client.recovery.request_timeout = 0.25;
   dopts.client.recovery.max_attempts = 5;

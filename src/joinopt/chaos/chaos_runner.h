@@ -44,7 +44,6 @@ struct ChaosSoakOptions {
   int num_nodes = 4;
   int regions_per_node = 4;
   int replication_factor = 3;
-  RpcBackend backend = RpcBackend::kThreadPerConnection;
 
   // Workload shape (see SoakWorkloadOptions).
   int workload_threads = 4;

@@ -15,14 +15,14 @@
 // subscribers into a targeted re-sync instead of trusting stale sequence
 // numbers.
 //
-// Threading contract: service methods run on RpcServer worker threads;
+// Threading contract: service methods run on RpcServer pool threads;
 // Stop/Restart/running() may race them from test or controller threads.
 // Three locks, in ascending rank (one thread may hold them only in this
 // order): lifecycle_mu_ (kNodeLifecycle=480, server ptr + pinned port,
 // held across RpcServer::Start), store_mu_ (kNodeStore=500, the log
 // store), update_mu_ (kNodeUpdateFanout=600, region epochs + sink list,
-// held across the per-sink fan-out at kUpdateSink=650). Rank table:
-// DESIGN.md §12.
+// held across the per-sink fan-out, which takes each subscribed
+// connection's kReactorConn=780). Rank table: DESIGN.md §12.
 #ifndef JOINOPT_CLUSTER_DATA_NODE_H_
 #define JOINOPT_CLUSTER_DATA_NODE_H_
 
@@ -134,7 +134,7 @@ class ClusterNodeService : public WritableDataService {
   LogStructuredStore store_ JOINOPT_GUARDED_BY(store_mu_);
 
   /// Guards epochs_ and sinks_; held across the sink fan-out (which takes
-  /// each sink's kUpdateSink lock) so a subscriber snapshot cannot
+  /// each sink's kReactorConn lock) so a subscriber snapshot cannot
   /// interleave mid-update.
   mutable Mutex update_mu_{lock_rank::kNodeUpdateFanout,
                            "ClusterNodeService::update_mu_"};

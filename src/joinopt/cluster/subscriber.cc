@@ -103,15 +103,13 @@ bool UpdateSubscriber::Reconcile(NodeId node, int region, uint64_t epoch,
       deliver = true;
       ++stats_.notifications;
     } else {
-      // Live-stream jump. The reactor backend coalesces same-key events
-      // in its bounded pending queue, so a gap on a *live* stream means
-      // the skipped seqs were superseded same-key updates whose final
+      // Live-stream jump. The server coalesces same-key events in its
+      // bounded pending queue, so a gap on a *live* stream means the
+      // skipped seqs were superseded same-key updates whose final
       // versions ride in later events — each delivered event still
       // carries its key's latest version, and nothing needs a re-sync.
-      // (The thread-per-connection backend never gaps a live stream: it
-      // drops the connection on overflow, and the reconnect snapshot path
-      // above re-syncs.) Seqs missed while *disconnected* surface as a
-      // snapshot-ahead gap or an epoch bump, which still re-sync.
+      // Seqs missed while *disconnected* surface as a snapshot-ahead gap
+      // or an epoch bump, which still re-sync.
       stats_.coalesced_gaps += static_cast<int64_t>(seq - st.seq - 1);
       deliver = true;
       st.seq = seq;

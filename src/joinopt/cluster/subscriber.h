@@ -7,8 +7,8 @@
 // subscriber tracks the last seen (epoch, seq) per (node, region).
 //   * seq == last + 1       -> deliver the invalidation (the common case).
 //   * seq <= last           -> duplicate (snapshot/stream overlap); ignore.
-//   * live-stream seq gap   -> benign: the reactor backend coalesces
-//                              same-key events under backpressure, so the
+//   * live-stream seq gap   -> benign: the server coalesces same-key
+//                              events under backpressure, so the
 //                              skipped seqs were superseded updates whose
 //                              final versions arrive in later events.
 //                              Deliver, count as coalesced_gaps, no re-sync.
@@ -67,7 +67,7 @@ struct UpdateSubscriberStats {
   int64_t notifications = 0;      ///< in-order events delivered
   int64_t duplicates_ignored = 0;  ///< seq <= last seen (at-least-once overlap)
   int64_t gaps_detected = 0;      ///< snapshot-ahead gaps (missed while deaf)
-  /// Seqs skipped on a *live* stream: same-key events the reactor backend
+  /// Seqs skipped on a *live* stream: same-key events the server
   /// coalesced away. Benign — the delivered event carries the key's final
   /// version — so these do NOT trigger re-syncs.
   int64_t coalesced_gaps = 0;

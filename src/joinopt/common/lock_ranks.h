@@ -87,38 +87,25 @@ inline constexpr int kNodeStore = 500;
 inline constexpr int kTopology = 560;
 
 /// ClusterNodeService::update_mu_ — region epochs + sink list, held across
-/// the sink fan-out (which takes kUpdateSink below it — the one deliberate
-/// cross-module nesting in the system).
+/// the sink fan-out (which takes each subscribed connection's kReactorConn
+/// below it — the one deliberate cross-module nesting in the system).
 inline constexpr int kNodeUpdateFanout = 600;
-
-/// RpcServer::ConnSink::mu_ — a subscription's bounded event queue; the
-/// innermost lock of the update fan-out path.
-inline constexpr int kUpdateSink = 650;
 
 /// RpcServer lifecycle (Start/Stop serialization).
 inline constexpr int kServerLifecycle = 700;
 
-/// RpcServer::conns_mu_ — open-connection registry (taken by Stop while
-/// the lifecycle lock is held).
-inline constexpr int kServerConns = 720;
-
 /// RpcServer::dedup_mu_ — tagged-batch replay cache.
 inline constexpr int kServerDedup = 740;
 
-/// ReactorCore per-loop state — the pending-connection handoff list and
-/// dirty-connection wake list of one IO thread's event loop. Taken by
-/// Stop() under kServerLifecycle and by workers/sinks requesting a flush.
-inline constexpr int kReactorLoop = 750;
+/// ReactorCore::conns_mu_ — the open-connection registry (id -> conn).
+/// Taken by pool threads holding nothing (accept, event lookup, teardown)
+/// and by Stop() under kServerLifecycle to sever every connection.
+inline constexpr int kReactorConns = 750;
 
-/// Reactor worker pool's bounded task queue (IO threads push, workers
-/// pop; never held across a dispatch).
-inline constexpr int kReactorQueue = 760;
-
-/// ReactorConn::mu_ — one connection's bounded write queue and pending
-/// Notify coalescing state. Innermost of the reactor: appended to by
-/// worker threads (holding nothing) and by update fan-out (holding
-/// kNodeUpdateFanout), flushed by the IO thread (holding kReactorLoop at
-/// most).
+/// ReactorConn::mu_ — one connection's ownership flag, bounded write
+/// queue and pending Notify coalescing state. Innermost of the reactor:
+/// taken by pool threads (holding nothing) and by the update fan-out
+/// (holding kNodeUpdateFanout).
 inline constexpr int kReactorConn = 780;
 
 /// RpcClientService / ClusterClientService rec_mu_ — recovery counters and

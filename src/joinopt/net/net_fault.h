@@ -21,9 +21,8 @@
 //     SYN-ACK the other), so a dial fails when EITHER direction of the
 //     pair is blocked. The client side fails fast with a deadline-class
 //     kAborted (a dropped SYN is a timeout, not a refusal); the server
-//     side additionally drops at accept — the fix for the reactor backend,
-//     whose accept4 path used to complete handshakes for partitioned
-//     peers.
+//     side additionally drops at accept, so a dialer that skipped its
+//     own check cannot complete the handshake either.
 //   * established connections: SendAll fails only when the fd's own
 //     transmit direction is blocked — the half-open case where A's
 //     requests vanish while B's answers (to older requests) still flow.
@@ -96,10 +95,11 @@ class NetFaultInjector {
   /// Accept-side check + bookkeeping. False means the pair is partitioned
   /// and the caller must close the freshly accepted fd — dropping the
   /// connection at accept time is what keeps a half-open peer from
-  /// completing the handshake on either serving backend.
+  /// completing the handshake.
   bool OnAccept(uint16_t listen_port, int conn_fd);
   /// Established-connection check: fails iff this fd's transmit direction
-  /// is currently blocked. Called by SendAll before touching the socket.
+  /// is currently blocked. Called by SendAll and the server's flush before
+  /// touching the socket.
   Status CheckSend(int fd) const;
   /// Forgets a closing fd (hooked into UniqueFd::Reset).
   void OnClose(int fd);

@@ -58,25 +58,18 @@ StatusOr<int> EpollLoop::Wait(struct epoll_event* out, int max_events,
       if (errno == EINTR) continue;
       return ErrnoToStatus(errno, "epoll_wait");
     }
-    // Drain and filter the wake channel in place. The counter value is
-    // irrelevant — any number of Wake() calls collapse into one wakeup.
+    // Filter the stop channel in place; it is never drained.
     int kept = 0;
     for (int i = 0; i < n; ++i) {
-      if (out[i].data.u64 == kEpollWakeTag) {
-        uint64_t junk;
-        while (::read(wake_fd_, &junk, sizeof(junk)) > 0) {
-        }
-        continue;
-      }
-      out[kept++] = out[i];
+      if (out[i].data.u64 != kEpollWakeTag) out[kept++] = out[i];
     }
     return kept;
   }
 }
 
-void EpollLoop::Wake() {
+void EpollLoop::WakeAll() {
   uint64_t one = 1;
-  // A full eventfd counter (EAGAIN) already guarantees a pending wakeup.
+  // A full eventfd counter (EAGAIN) is still readable.
   ssize_t ignored = ::write(wake_fd_, &one, sizeof(one));
   (void)ignored;
 }

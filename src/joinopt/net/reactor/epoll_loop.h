@@ -1,20 +1,15 @@
 // EpollLoop: a thin RAII wrapper over one epoll instance plus an eventfd
-// wake channel — the per-IO-thread readiness core of the reactor backend
-// (DESIGN.md §13).
+// stop channel — the readiness core of the reactor backend (DESIGN.md §13).
 //
-// Level-triggered on purpose: edge-triggered epoll demands drain-to-EAGAIN
-// discipline on every path or events are lost forever; level-triggered
-// re-arms for free, and the reactor bounds per-wakeup work explicitly (read
-// chunk caps, the pipeline limit) instead of relying on ET to batch. The
-// throughput difference is noise at this system's frame sizes; the
-// correctness difference is not.
+// The reactor registers every fd EPOLLONESHOT: an event disarms its fd, so
+// exactly one of the pool threads waiting in Wait receives it, and the fd
+// stays silent until its new owner re-arms it with Mod. Within that, the
+// readiness itself is level-triggered: a re-armed fd that still has bytes
+// (or room) fires again at once, so no path has to drain to EAGAIN.
 //
-// Thread model: Add/Mod/Del and Wait belong to the loop's IO thread (epoll
-// itself allows cross-thread ctl, but the reactor routes all interest
-// changes through the owning thread so interest state needs no lock).
-// Wake() is the one cross-thread entry point: any thread may call it to
-// pop the IO thread out of Wait early (worker finished a response, Stop
-// requested, a connection was handed to this loop).
+// Thread model: Add/Mod/Del and Wait may be called from any thread (epoll
+// allows concurrent ctl and wait). WakeAll() makes every current and
+// future Wait return promptly, which is how Stop() reaches the whole pool.
 #ifndef JOINOPT_NET_REACTOR_EPOLL_LOOP_H_
 #define JOINOPT_NET_REACTOR_EPOLL_LOOP_H_
 
@@ -26,8 +21,8 @@
 
 namespace joinopt {
 
-/// epoll_event.data.u64 value reserved for the wake eventfd; Wait drains
-/// and filters these, so callers never see the tag.
+/// epoll_event.data.u64 value reserved for the stop eventfd; Wait filters
+/// it out, so callers never see the tag.
 inline constexpr uint64_t kEpollWakeTag = ~0ull;
 
 class EpollLoop {
@@ -52,15 +47,15 @@ class EpollLoop {
   void Del(int fd);
 
   /// Blocks up to `timeout_ms` (-1 = forever) for readiness; fills `out`
-  /// with up to `max_events` events, wake-tag entries already filtered and
-  /// the eventfd drained. Returns the event count (0 on timeout or when
-  /// the only event was a wake). EINTR retries internally.
+  /// with up to `max_events` events, wake-tag entries filtered out.
+  /// Returns the event count (0 on timeout or once WakeAll was called).
+  /// EINTR retries internally.
   StatusOr<int> Wait(struct epoll_event* out, int max_events,
                      int timeout_ms);
 
-  /// Makes the current or next Wait return promptly. Callable from any
-  /// thread; async-signal-safe-free path (one 8-byte write).
-  void Wake();
+  /// Makes every current and future Wait return promptly: the eventfd is
+  /// never drained, so it stays readable. Callable from any thread.
+  void WakeAll();
 
   bool valid() const { return epoll_fd_ >= 0; }
 

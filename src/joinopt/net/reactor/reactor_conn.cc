@@ -1,5 +1,6 @@
 #include "joinopt/net/reactor/reactor_conn.h"
 
+#include <iterator>
 #include <utility>
 
 #include "joinopt/net/reactor/reactor_core.h"
@@ -7,66 +8,36 @@
 
 namespace joinopt {
 
-ReactorConn::ReactorConn(uint64_t id, UniqueFd fd, ReactorCore* core,
-                         size_t loop_index, const ReactorConnLimits& limits,
-                         RpcAtomicStats* stats)
-    : id_(id),
-      core_(core),
-      loop_index_(loop_index),
-      limits_(limits),
-      stats_(stats),
-      fd_(std::move(fd)) {}
-
-ReactorConn::~ReactorConn() = default;
+ReactorConn::ReactorConn(uint64_t id, UniqueFd fd, ReactorCore* core)
+    : id_(id), core_(core), fd_(std::move(fd)) {}
 
 void ReactorConn::OnUpdateEvent(const UpdateEvent& event) {
   // Writer's thread, kNodeUpdateFanout held. kReactorConn ranks above it,
   // so taking mu_ here is legal nesting; calling back into the service is
   // not (and we don't).
-  bool wake = false;
-  {
-    MutexLock lock(mu_);
-    if (closed_ || close_requested_ || !subscribed_) return;
-    auto it = notify_index_.find(event.key);
-    if (it != notify_index_.end()) {
-      // Same-key supersession: the newer event carries the key's final
-      // version, so the older pending one is dead weight. Re-queue at the
-      // tail so the seqs we eventually push stay monotonic.
-      pending_notifies_.erase(it->second);
-      pending_notifies_.push_back(event);
-      it->second = std::prev(pending_notifies_.end());
-      ++stats_->notify_coalesced;
-      wake = true;
-    } else if (pending_notifies_.size() >= limits_.notify_queue_capacity) {
-      // Distinct-key flood: coalescing cannot compress this, and unbounded
-      // buffering is worse than a re-sync. Latch overflow; the IO thread
-      // finishes the queued frames and drops the stream.
-      notify_overflow_ = true;
-      close_requested_ = true;
-      wake = true;
-    } else {
-      pending_notifies_.push_back(event);
-      notify_index_.emplace(event.key, std::prev(pending_notifies_.end()));
-      wake = true;
-    }
+  MutexLock lock(mu_);
+  if (closed_ || close_requested_ || !subscribed_) return;
+  auto it = notify_index_.find(event.key);
+  if (it != notify_index_.end()) {
+    // Same-key supersession: the newer event carries the key's final
+    // version, so the older pending one is dead weight. Re-queue at the
+    // tail so the seqs we eventually push stay monotonic.
+    pending_notifies_.erase(it->second);
+    pending_notifies_.push_back(event);
+    it->second = std::prev(pending_notifies_.end());
+    ++core_->stats_->notify_coalesced;
+  } else if (pending_notifies_.size() >=
+             core_->options_.subscription_queue_capacity) {
+    // Distinct-key flood: coalescing cannot compress this, and unbounded
+    // buffering is worse than a re-sync. The owner finishes the queued
+    // frames and drops the stream.
+    close_requested_ = true;
+  } else {
+    pending_notifies_.push_back(event);
+    notify_index_.emplace(event.key, std::prev(pending_notifies_.end()));
   }
-  // Outside mu_: RequestFlush takes the loop's handoff lock (rank
-  // kReactorLoop, *below* kReactorConn).
-  if (wake) core_->RequestFlush(loop_index_, id_);
-}
-
-void ReactorConn::CompleteRequest(std::string frame_bytes, bool kill) {
-  {
-    MutexLock lock(mu_);
-    --inflight_;
-    if (kill) {
-      close_requested_ = true;
-    } else if (!closed_ && !close_requested_) {
-      write_bytes_ += frame_bytes.size();
-      write_queue_.push_back(std::move(frame_bytes));
-    }
-  }
-  core_->RequestFlush(loop_index_, id_);
+  // An owned connection is flushed by its owner before it is released.
+  if (!busy_) core_->ScheduleNotifyFlush(*this);
 }
 
 }  // namespace joinopt

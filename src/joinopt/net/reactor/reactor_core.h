@@ -1,22 +1,23 @@
-// ReactorCore: the event-driven serving backend behind RpcServer
-// (DESIGN.md §13). A fixed set of IO threads — each running one EpollLoop
-// over non-blocking sockets — accepts connections, parses frames
-// incrementally out of per-connection read buffers, and hands complete
-// requests to a bounded worker pool that runs the shared VerbDispatcher.
-// Responses come back through per-connection bounded write queues flushed
-// with writev. Thread count is a function of configuration, never of
-// connection count: 10k idle subscribers cost file descriptors and read
-// buffers, not stacks.
+// ReactorCore: the serving backend behind RpcServer (DESIGN.md §13). A
+// fixed pool of kPoolThreads (8) threads shares one EpollLoop over
+// non-blocking sockets, every fd registered EPOLLONESHOT. Each thread asks
+// epoll for one event at a time; the thread that takes a connection's
+// event owns the connection until it re-arms it, and runs it to
+// completion: read, parse every complete frame, run each verb through the
+// shared VerbDispatcher, append the responses to the connection's bounded
+// write queue, flush with sendmsg. No request crosses threads, and a slow
+// verb holds one pool thread and its own connection; only verbs blocked on
+// every pool thread at once stall the server (ROADMAP item 8).
+// Thread count is a constant, never a function of connection count: 10k
+// idle subscribers cost file descriptors and read buffers, not stacks.
 //
-// Wire behaviour is identical to the thread-per-connection backend (same
-// frames, same VerbDispatcher), with two deliberate
-// extensions the old backend cannot express:
-//  * request pipelining — a client may stream several requests before
-//    reading responses (answers may complete out of order; the frame seq
-//    is the correlation id, as the protocol always specified);
-//  * Notify flow control — a slow subscriber is throttled through its
-//    bounded write queue with per-key event coalescing instead of being
-//    dropped for a full region re-sync (see reactor_conn.h).
+// Pipelined requests on one connection are answered in order (the frame
+// seq still correlates them). Notify events reach a subscriber connection
+// through ReactorConn::OnUpdateEvent; when the writer is one of this
+// pool's threads (a Put verb), that thread claims the idle subscriber
+// connection and flushes it after its own response has gone out, so a Put
+// wakes no second thread. Any other writer re-arms the connection with
+// EPOLLOUT for the pool to pick up.
 #ifndef JOINOPT_NET_REACTOR_REACTOR_CORE_H_
 #define JOINOPT_NET_REACTOR_REACTOR_CORE_H_
 
@@ -26,7 +27,6 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "joinopt/common/lock_ranks.h"
@@ -34,126 +34,97 @@
 #include "joinopt/common/sync.h"
 #include "joinopt/net/reactor/epoll_loop.h"
 #include "joinopt/net/reactor/reactor_conn.h"
-#include "joinopt/net/reactor/worker_pool.h"
+#include "joinopt/net/rpc_server.h"
 #include "joinopt/net/socket.h"
 #include "joinopt/net/verb_dispatcher.h"
 
 namespace joinopt {
 
-struct ReactorOptions {
-  std::string host = "127.0.0.1";
-  uint16_t port = 0;  ///< 0 = ephemeral
-  int accept_backlog = 64;
-  size_t max_frame_bytes = kDefaultMaxFrameBytes;
-  /// Event-loop threads. One saturates loopback at this system's frame
-  /// sizes; the knob exists for multi-NIC deployments and for testing the
-  /// cross-loop handoff path.
-  int io_threads = 1;
-  /// Verb-execution threads (a UDF may block; IO threads never do).
-  int worker_threads = 2;
-  /// Requests queued toward the workers before IO threads stop parsing
-  /// the affected connections (bytes stay in their read buffers).
-  size_t worker_queue_capacity = 256;
-  /// Per-connection write-queue byte watermarks: reads pause above high,
-  /// resume below low.
-  size_t write_high_watermark = 1u << 20;
-  size_t write_low_watermark = 256u << 10;
-  /// Outstanding pipelined requests per connection.
-  int max_pipelined_requests = 64;
-  /// Pending (coalesced) Notify events per subscription; a distinct-key
-  /// flood beyond this drops the stream (subscriber re-syncs on redial).
-  size_t notify_queue_capacity = 4096;
-  /// Idle epoll timeout — bounds Stop() latency, like the legacy
-  /// backend's poll tick.
-  double poll_tick = 0.05;
-  /// Logical endpoint id for NetFaultInjector partitions; -1 opts out.
-  int32_t net_identity = -1;
-};
-
 class ReactorCore {
  public:
+  /// Serving threads per server. A verb that blocks (a straggling Fetch,
+  /// a UDF that waits) holds one until it returns, so the pool leaves room
+  /// for several at once: with 3, the count of the earlier 1 IO + 2 worker
+  /// split, three overlapping stalls stopped the whole server (DESIGN.md
+  /// §13). Idle threads wait in epoll_wait and cost only their stacks.
+  static constexpr int kPoolThreads = 8;
+
   /// `dispatcher` and `stats` are borrowed from the owning RpcServer and
   /// must outlive the core.
   ReactorCore(VerbDispatcher* dispatcher, RpcAtomicStats* stats,
-              ReactorOptions options);
+              const RpcServerOptions& options);
   ~ReactorCore();
 
   ReactorCore(const ReactorCore&) = delete;
   ReactorCore& operator=(const ReactorCore&) = delete;
 
-  /// Binds, listens, spawns IO threads and workers. Not idempotent; the
-  /// owning RpcServer serializes lifecycle under its own lock.
+  /// Binds, listens and spawns the pool. Not idempotent; the owning
+  /// RpcServer serializes lifecycle under its own lock.
   Status Start();
-  /// Tears down every connection (deregistering subscription sinks) and
-  /// joins all threads. Idempotent.
+  /// Severs every connection (shutdown(), so a verb still running cannot
+  /// deliver its response), then joins the pool. The last pool thread to
+  /// exit tears the connections down and deregisters their sinks, so the
+  /// caller's locks never nest around the service's update lock.
+  /// Idempotent.
   void Stop();
 
   uint16_t port() const { return port_; }
-  /// IO + worker threads — the constant the connection-scaling bench
-  /// asserts stays flat.
-  int serving_threads() const {
-    return options_.io_threads + worker_pool_.thread_count();
-  }
-
-  /// Cross-thread flush request: marks `conn_id` dirty on its loop and
-  /// wakes it. Called by workers (no locks held) and by update-fanout
-  /// writers (kNodeUpdateFanout held; kReactorLoop ranks above it).
-  void RequestFlush(size_t loop_index, uint64_t conn_id);
 
  private:
-  /// One IO thread's world. Fields split like ReactorConn's: `conns` and
-  /// `stalled` are touched only by the owning thread; the handoff lists
-  /// under `mu` are the only cross-thread surface.
-  struct Loop {
-    EpollLoop epoll;
-    std::thread thread;
-    // IO-thread-confined:
-    std::unordered_map<uint64_t, std::shared_ptr<ReactorConn>> conns;
-    /// Connections with parsed-but-undispatched frames waiting for
-    /// worker-queue space; retried on a short tick.
-    std::unordered_set<uint64_t> stalled;
-    // Cross-thread handoff:
-    Mutex mu{lock_rank::kReactorLoop, "ReactorCore::Loop::mu"};
-    std::vector<uint64_t> dirty JOINOPT_GUARDED_BY(mu);
-    std::vector<std::shared_ptr<ReactorConn>> incoming
-        JOINOPT_GUARDED_BY(mu);
-  };
+  friend class ReactorConn;
 
-  void IoLoop(size_t index);
-  void HandleAccept(Loop& loop);
-  /// Drains the socket into the read buffer; may tear the connection down.
-  void HandleReadable(Loop& loop, const std::shared_ptr<ReactorConn>& conn);
-  /// Consumes complete frames from the read buffer: dispatches to the
-  /// worker pool, handles Subscribe inline, applies the pipeline /
-  /// write-watermark / worker-queue backpressure rules.
-  void ParseAndDispatch(Loop& loop,
-                        const std::shared_ptr<ReactorConn>& conn);
-  /// Establishes a subscription on the IO thread (registers the conn as
-  /// an UpdateSink, queues the epoch-snapshot response). False = refuse
-  /// by dropping the connection, the signal subscribers already handle.
-  bool HandleSubscribe(Loop& loop, const std::shared_ptr<ReactorConn>& conn,
-                       const FrameHeader& header, const std::string& body);
+  void PoolLoop();
+  void AcceptAll();
+  std::shared_ptr<ReactorConn> Lookup(uint64_t id);
+  /// Serves an owned connection until it has nothing left to do, then
+  /// releases and re-arms it, or tears it down. `backlog` is the write
+  /// queue's size when the caller claimed the connection.
+  void RunOwned(const std::shared_ptr<ReactorConn>& conn, bool read,
+                size_t backlog);
+  enum class Parsed { kDrained, kPaused, kTeardown };
+  /// Drains the socket into the read buffer and serves complete frames in
+  /// order, appending their responses to `responses`, until the write
+  /// backlog would pass the high watermark (kPaused).
+  Parsed ReadAndDispatch(ReactorConn& conn, size_t backlog,
+                         std::vector<std::string>* responses);
+  /// Establishes a subscription (registers the conn as an UpdateSink and
+  /// builds the epoch-snapshot response into `frame`). False = refuse by
+  /// dropping the connection, the signal subscribers already handle.
+  bool HandleSubscribe(ReactorConn& conn, const FrameHeader& header,
+                       const std::string& body, std::string* frame);
   /// Stages pending notifies into the write queue (below the high
-  /// watermark), writev-flushes, re-arms EPOLLOUT, resumes paused reads
-  /// below the low watermark. May tear the connection down.
-  void TryFlush(Loop& loop, const std::shared_ptr<ReactorConn>& conn);
-  /// Recomputes and applies the epoll interest mask.
-  void UpdateInterest(Loop& loop, ReactorConn& conn);
-  /// Deregisters the sink, closes the fd, drops the loop's reference.
-  /// Caller must hold no locks (RemoveUpdateSink takes kNodeUpdateFanout).
-  void Teardown(Loop& loop, const std::shared_ptr<ReactorConn>& conn);
+  /// watermark) and sends as much as the kernel takes. False = tear down.
+  bool FlushLocked(ReactorConn& conn) JOINOPT_REQUIRES(conn.mu_);
+  /// Re-arms the fd with the interest the connection's state calls for.
+  void ArmLocked(ReactorConn& conn) JOINOPT_REQUIRES(conn.mu_);
+  /// OnUpdateEvent on an idle connection: a pool thread of this core
+  /// claims it (flushed by FlushClaimed after the thread's own response);
+  /// any other thread re-arms it with EPOLLOUT.
+  /// Caller holds conn.mu_ (asserted: the caller names it this->mu_).
+  void ScheduleNotifyFlush(ReactorConn& conn);
+  void FlushClaimed();
+  /// Deregisters the sink, closes the fd, drops the registry's reference.
+  /// Caller owns the connection and holds no locks (RemoveUpdateSink takes
+  /// kNodeUpdateFanout).
+  void Teardown(const std::shared_ptr<ReactorConn>& conn);
 
   VerbDispatcher* const dispatcher_;
   RpcAtomicStats* const stats_;
-  const ReactorOptions options_;
-  const ReactorConnLimits limits_;
+  const RpcServerOptions options_;
 
   UniqueFd listen_fd_;
   uint16_t port_ = 0;
+  EpollLoop epoll_;
+  std::vector<std::thread> pool_;
   std::atomic<bool> stop_{true};
-  std::atomic<uint64_t> next_conn_id_{1};  // 0 is the listener's tag
-  std::vector<std::unique_ptr<Loop>> loops_;
-  ReactorWorkerPool worker_pool_;
+  /// Pool threads still in PoolLoop; the one that takes it to zero tears
+  /// down what is left.
+  std::atomic<int> pool_alive_{0};
+
+  Mutex conns_mu_{lock_rank::kReactorConns, "ReactorCore::conns_mu_"};
+  std::unordered_map<uint64_t, std::shared_ptr<ReactorConn>> conns_
+      JOINOPT_GUARDED_BY(conns_mu_);
+  uint64_t next_conn_id_ JOINOPT_GUARDED_BY(conns_mu_) = 1;  // 0: listener
 };
 
 }  // namespace joinopt

@@ -2,31 +2,18 @@
 // DataService (LocalDataService, LogStoreDataService, a LatencyPaddedService
 // stack, ...) behind a TCP listener speaking the net/frame.h protocol.
 //
-// Two serving backends share one frontend (and one VerbDispatcher, so verb
-// semantics cannot drift):
+// One serving backend (net/reactor/, DESIGN.md §13): a fixed pool of
+// threads shares one epoll set of non-blocking sockets. The thread that
+// takes a connection's readiness event owns that connection until it
+// re-arms it, and serves it from read to write: it parses every complete
+// frame, runs the verbs through the VerbDispatcher, then flushes the
+// responses. Thread count is flat in connection count; pipelined requests
+// on one connection are answered in order; a slow verb holds its own
+// connection and one pool thread (the server stalls only while every pool
+// thread is inside a verb); slow Notify subscribers are throttled with
+// per-key event coalescing instead of dropped.
 //
-//  * kThreadPerConnection (the original, still the default): one acceptor
-//    thread polls the listen socket; each accepted connection gets a
-//    dedicated thread running a synchronous read-dispatch-write loop (one
-//    request in flight per connection — concurrency comes from the client
-//    opening pooled connections). Simple, but threads scale with
-//    connections, and a slow Notify subscriber is dropped on queue
-//    overflow for a full reconnect-and-re-sync.
-//
-//  * kReactor (net/reactor/, DESIGN.md §13): a fixed set of epoll IO
-//    threads with non-blocking sockets, incremental frame parsing, a
-//    bounded worker pool for verb execution, and per-connection bounded
-//    write queues. Thread count is flat in connection count; clients may
-//    pipeline requests (responses correlate by frame seq); slow Notify
-//    subscribers are throttled with per-key event coalescing instead of
-//    dropped.
-//
-// The wire protocol is identical on both: callers (ClusterDataNode,
-// ClusterDeployment, the loopback harness, every test) run unmodified on
-// either backend. Select per-server with RpcServerOptions::backend or
-// process-wide with JOINOPT_RPC_BACKEND=reactor|threaded (options win).
-//
-// Stop() tears everything down and joins all threads; it is safe to call
+// Stop() severs every connection, then joins the pool; it is safe to call
 // concurrently with in-flight requests and from the destructor.
 //
 // The UDF cannot travel over the wire: like HBase coprocessors, the
@@ -47,26 +34,21 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <thread>
-#include <utility>
-#include <vector>
 
 #include "joinopt/common/lock_ranks.h"
 #include "joinopt/common/status.h"
 #include "joinopt/common/sync.h"
 #include "joinopt/engine/async_api.h"
-#include "joinopt/net/socket.h"
-#include "joinopt/net/update_hub.h"
 #include "joinopt/net/verb_dispatcher.h"
 
 namespace joinopt {
 
 class ReactorCore;
 
+/// Exists only for the join-path benchmark's context line
+/// (perfbench/joinpath.cc names both values and active_backend()); the
+/// server has one backend.
 enum class RpcBackend {
-  /// Resolve from the JOINOPT_RPC_BACKEND environment variable
-  /// ("reactor" or "threaded"); falls back to thread-per-connection.
-  kDefault,
   kThreadPerConnection,
   kReactor,
 };
@@ -78,33 +60,19 @@ struct RpcServerOptions {
   /// 0 = ephemeral (read the chosen port back with port()).
   uint16_t port = 0;
   size_t max_frame_bytes = kDefaultMaxFrameBytes;
-  /// Deadline for writing one response (thread-per-connection backend);
-  /// a client that stops draining its socket loses the connection instead
-  /// of parking the worker forever. The reactor never blocks on writes —
-  /// its equivalent is the write-queue watermark below.
-  double send_deadline = 5.0;
   int accept_backlog = 64;
   /// Tagged-batch responses remembered for replay dedup (exactly-once
   /// ExecuteBatch). FIFO-evicted; 0 disables dedup.
   size_t dedup_capacity = 1024;
-  /// Pending invalidation events per subscription. Thread-per-connection:
-  /// overflow drops the connection (the subscriber must reconnect and
-  /// re-sync). Reactor: bound on the per-key-coalesced pending queue; only
-  /// a distinct-key flood beyond it drops the stream.
+  /// Bound on a subscription's per-key-coalesced pending Notify queue;
+  /// only a distinct-key flood beyond it drops the stream (the subscriber
+  /// re-syncs on redial).
   size_t subscription_queue_capacity = 4096;
-
-  /// Which serving backend runs this server.
-  RpcBackend backend = RpcBackend::kDefault;
-  // ---- reactor tuning (ignored by the legacy backend) ----
-  int reactor_io_threads = 1;
-  int reactor_worker_threads = 2;
-  size_t reactor_worker_queue = 256;
-  /// Per-connection write-queue byte watermarks: reads pause above high,
-  /// resume below low (the pipelining / slow-reader backpressure bound).
-  size_t reactor_write_high_watermark = 1u << 20;
-  size_t reactor_write_low_watermark = 256u << 10;
-  /// Outstanding pipelined requests per connection.
-  int reactor_max_pipelined_requests = 64;
+  /// Per-connection write-queue byte watermarks: a connection's reads
+  /// pause above high and resume at or below low (the slow-reader and
+  /// pipelining backpressure bound).
+  size_t write_high_watermark = 1u << 20;
+  size_t write_low_watermark = 256u << 10;
 
   /// Logical endpoint id for NetFaultInjector partitions (net/net_fault.h).
   /// -1 (the default) opts out: the server is invisible to injected
@@ -127,9 +95,8 @@ struct RpcServerStats {
   /// request from the response's piggybacked stat, so on a compute-heavy
   /// workload this stays near zero (DESIGN.md §10).
   int64_t stat_requests = 0;
-  /// Gauge: threads currently dedicated to serving (acceptor + connection
-  /// threads, or IO + worker threads). The reactor's headline property is
-  /// that this stays flat as connections scale.
+  /// Gauge: pool threads currently serving. Stays flat as connections
+  /// scale.
   int64_t server_threads = 0;
   int64_t live_connections = 0;  ///< gauge: open connections
   int64_t notify_coalesced = 0;  ///< events superseded in pending queues
@@ -138,15 +105,15 @@ struct RpcServerStats {
 
 class RpcServer {
  public:
-  /// `inner` and `fn` must outlive the server and be thread-safe: each
-  /// connection/worker thread calls them concurrently.
+  /// `inner` and `fn` must outlive the server and be thread-safe: the pool
+  /// threads call them concurrently.
   RpcServer(DataService* inner, UserFn fn, RpcServerOptions options = {});
   ~RpcServer();
 
   RpcServer(const RpcServer&) = delete;
   RpcServer& operator=(const RpcServer&) = delete;
 
-  /// Binds, listens and starts the chosen backend. Fails (address in use,
+  /// Binds, listens and starts the pool. Fails (address in use,
   /// ...) without leaving threads behind. Serialized against Stop() and
   /// other Start() calls: concurrent double-Start is a FailedPrecondition
   /// for exactly one caller, never two listeners.
@@ -164,28 +131,12 @@ class RpcServer {
   }
   const std::string& host() const { return options_.host; }
 
-  /// The backend actually serving (env var resolved); kDefault before the
-  /// first successful Start().
-  RpcBackend active_backend() const {
-    MutexLock lock(lifecycle_mu_);
-    return active_backend_;
-  }
+  /// Always kReactor; kept for the join-path benchmark's context line.
+  RpcBackend active_backend() const { return RpcBackend::kReactor; }
 
   RpcServerStats stats() const;
 
  private:
-  /// Bounded per-subscription event queue (legacy backend); OnUpdateEvent
-  /// is called on the writer's thread, Drain on the connection thread.
-  class ConnSink;
-
-  void AcceptLoop();
-  void ServeConnection(int fd);
-  /// Takes over a connection after a kSubscribeReq: registers a sink,
-  /// answers with the epoch snapshot, then pushes kNotifyEvt frames until
-  /// stop/close/overflow.
-  void ServeSubscription(int fd, const FrameHeader& header,
-                         const std::string& body);
-
   DataService* inner_;
   UserFn fn_;
   RpcServerOptions options_;
@@ -193,30 +144,14 @@ class RpcServer {
   VerbDispatcher dispatcher_;
 
   /// Serializes Start/Stop (held across the whole transition, including
-  /// the thread joins in Stop — worker threads never take it).
+  /// the pool joins in Stop — pool threads never take it).
   mutable Mutex lifecycle_mu_{lock_rank::kServerLifecycle,
                               "RpcServer::lifecycle_mu_"};
   uint16_t port_ JOINOPT_GUARDED_BY(lifecycle_mu_) = 0;
-  RpcBackend active_backend_ JOINOPT_GUARDED_BY(lifecycle_mu_) =
-      RpcBackend::kDefault;
-  /// Fresh instance per reactor Start (a stopped core is not restartable;
+  /// Fresh instance per Start (a stopped core is not restartable;
   /// ClusterDataNode::Restart reuses this RpcServer object).
-  std::unique_ptr<ReactorCore> reactor_;
-
-  // ---- thread-per-connection backend state ----
-  /// Written by Start before the acceptor exists and Reset by Stop after
-  /// joining it (thread-confined by that protocol, not lock-guarded: the
-  /// acceptor reads it without — and must not take — lifecycle_mu_).
-  UniqueFd listen_fd_;
-  std::thread acceptor_;
-  std::atomic<bool> stop_{true};
+  std::unique_ptr<ReactorCore> reactor_ JOINOPT_GUARDED_BY(lifecycle_mu_);
   std::atomic<bool> running_{false};
-
-  mutable Mutex conns_mu_{lock_rank::kServerConns, "RpcServer::conns_mu_"};
-  /// Open connection fds (owned by their threads; registered here so
-  /// Stop() can shutdown() them to unblock reads).
-  std::vector<int> conn_fds_ JOINOPT_GUARDED_BY(conns_mu_);
-  std::vector<std::thread> conn_threads_ JOINOPT_GUARDED_BY(conns_mu_);
 };
 
 }  // namespace joinopt

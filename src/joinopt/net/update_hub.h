@@ -29,8 +29,8 @@ namespace joinopt {
 /// Receiver of update events. Registered sinks are invoked synchronously
 /// on the writer's thread with the service's update lock held: an
 /// implementation must be fast and must never call back into the service.
-/// (The RpcServer's per-subscription sink just appends to a bounded queue
-/// drained by the connection thread.)
+/// (The RpcServer's per-subscription sink just appends to a bounded,
+/// per-key-coalesced queue that a pool thread flushes.)
 class UpdateSink {
  public:
   virtual ~UpdateSink() = default;

@@ -1,15 +1,13 @@
-// VerbDispatcher: the backend-independent request/response core of the
-// RPC server. Both serving backends — the thread-per-connection loop in
-// rpc_server.cc and the epoll reactor in net/reactor/ — feed decoded
-// frames through one shared dispatcher, so verb semantics (the version
-// check, the stats piggybacked on compute responses, tagged-batch replay
-// dedup) are defined exactly once and cannot drift between backends.
+// VerbDispatcher: the request/response core of the RPC server. The
+// reactor's pool threads (net/reactor/) feed decoded frames through it, so
+// verb semantics (the version check, the stats piggybacked on compute
+// responses, tagged-batch replay dedup) are defined in one place, apart
+// from the connection handling.
 //
-// Thread safety: Dispatch is called concurrently from connection threads
-// (legacy backend) or worker-pool threads (reactor). The only internal
-// state is the tagged-batch dedup cache, guarded by its own ranked mutex;
-// everything else delegates to the wrapped DataService, which is
-// thread-safe by the RpcServer contract.
+// Thread safety: Dispatch is called concurrently from the pool threads.
+// The only internal state is the tagged-batch dedup cache, guarded by its
+// own ranked mutex; everything else delegates to the wrapped DataService,
+// which is thread-safe by the RpcServer contract.
 #ifndef JOINOPT_NET_VERB_DISPATCHER_H_
 #define JOINOPT_NET_VERB_DISPATCHER_H_
 
@@ -30,8 +28,8 @@
 namespace joinopt {
 
 /// Lock-free counters shared by the server frontend, the dispatcher and
-/// whichever backend is serving. One instance per RpcServer; snapshotted
-/// into RpcServerStats by RpcServer::stats().
+/// the reactor. One instance per RpcServer; snapshotted into
+/// RpcServerStats by RpcServer::stats().
 struct RpcAtomicStats {
   std::atomic<int64_t> connections_accepted{0};
   std::atomic<int64_t> requests{0};
@@ -44,17 +42,15 @@ struct RpcAtomicStats {
   std::atomic<int64_t> notify_events{0};
   std::atomic<int64_t> batch_dedup_hits{0};
   std::atomic<int64_t> stat_requests{0};
-  // ---- gauges + reactor-era counters ----
-  /// Threads currently serving (acceptor + per-connection threads for the
-  /// legacy backend; IO threads + workers for the reactor). The reactor's
-  /// headline property is that this stays flat as connections scale.
+  // ---- gauges + flow-control counters ----
+  /// Pool threads currently serving; flat as connections scale.
   std::atomic<int64_t> server_threads{0};
   std::atomic<int64_t> live_connections{0};
   /// Notify events superseded in a connection's pending queue by a newer
-  /// same-key event (reactor flow control; see reactor/reactor_conn.h).
+  /// same-key event (see reactor/reactor_conn.h).
   std::atomic<int64_t> notify_coalesced{0};
   /// Times a connection's reads were paused by backpressure (write-queue
-  /// high watermark or the pipeline limit).
+  /// high watermark).
   std::atomic<int64_t> backpressure_pauses{0};
 };
 
@@ -78,7 +74,7 @@ class VerbDispatcher {
   /// A zero response type means the request type itself was invalid and
   /// the connection can no longer be trusted (the caller drops it).
   /// Subscribe is NOT handled here — it changes the connection's mode, so
-  /// each backend owns it (see writable()).
+  /// the reactor owns it (see writable()).
   std::pair<MsgType, std::string> Dispatch(const FrameHeader& header,
                                            const std::string& body);
 

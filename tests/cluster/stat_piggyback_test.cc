@@ -1,7 +1,7 @@
 // Section 4.3's piggyback on the live cluster path: compute responses carry
 // each ok item's (size, version), and the ClusterClientService answers the
 // Stat a ParallelInvoker issues after every delegated item from them —
-// under kAny only. Every test runs against both serving backends.
+// under kAny only.
 #include <map>
 #include <mutex>
 #include <string>
@@ -24,22 +24,13 @@ UserFn EchoFn() {
   };
 }
 
-const RpcBackend kBackends[] = {RpcBackend::kThreadPerConnection,
-                                RpcBackend::kReactor};
-
-const char* BackendName(RpcBackend b) {
-  return b == RpcBackend::kReactor ? "reactor" : "threaded";
-}
-
 /// 3 nodes, RF 2, no controller: its liveness probes are Stat requests,
 /// and these tests count every Stat a data node serves.
-ClusterDeploymentOptions Options(RpcBackend backend,
-                                 ReadConsistency consistency) {
+ClusterDeploymentOptions Options(ReadConsistency consistency) {
   ClusterDeploymentOptions opts;
   opts.topology.num_data_nodes = 3;
   opts.topology.regions_per_node = 4;
   opts.topology.replication_factor = 2;
-  opts.server.backend = backend;
   opts.client.read_consistency = consistency;
   opts.start_controller = false;
   return opts;
@@ -149,166 +140,151 @@ ParallelInvokerStats DelegateAll(DataService* service,
 TEST(ClusterStatPiggybackTest, DelegatedItemsUnderAnyNeedNoStatRequest) {
   constexpr size_t kKeys = 300;
   const std::vector<Key> keys = DistinctSlotKeys(kKeys);
-  for (RpcBackend backend : kBackends) {
-    SCOPED_TRACE(BackendName(backend));
-    ClusterDeployment deploy(EchoFn(), Options(backend, ReadConsistency::kAny));
+  ClusterDeployment deploy(EchoFn(), Options(ReadConsistency::kAny));
+  ASSERT_TRUE(deploy.Start().ok());
+  SeedKeys(deploy, keys);
+
+  StatRecorder recorder(&deploy.client());
+  ParallelInvokerStats stats = DelegateAll(&recorder, keys);
+  EXPECT_EQ(stats.delegated, static_cast<int64_t>(kKeys));
+  EXPECT_GT(stats.delegation_batches, 0);
+  EXPECT_EQ(stats.transport_errors, 0);
+  EXPECT_EQ(recorder.calls(), static_cast<int64_t>(kKeys))
+      << "the invoker Stats every delegated item";
+  EXPECT_EQ(StatRequests(deploy), 0)
+      << "every delegated item's Stat must come from the piggyback";
+
+  // What the engine learned is what a wire Stat returns. The entries
+  // were consumed, so these Stats go to the wire.
+  std::map<Key, DataService::ItemStat> learned = recorder.learned();
+  ASSERT_EQ(learned.size(), kKeys);
+  for (const auto& [key, stat] : learned) {
+    auto wire = deploy.client().Stat(key);
+    ASSERT_TRUE(wire.ok()) << wire.status();
+    EXPECT_EQ(stat.size_bytes, wire->size_bytes) << "key " << key;
+    EXPECT_EQ(stat.version, wire->version) << "key " << key;
+    EXPECT_EQ(stat.size_bytes, static_cast<double>(ValueOf(key).size()));
+  }
+  EXPECT_EQ(StatRequests(deploy), static_cast<int64_t>(kKeys));
+}
+
+TEST(ClusterStatPiggybackTest, OwnerOnlyAndQuorumStatStillReadTheWire) {
+  constexpr size_t kKeys = 120;
+  const std::vector<Key> keys = DistinctSlotKeys(kKeys);
+  for (ReadConsistency mode :
+       {ReadConsistency::kOwnerOnly, ReadConsistency::kQuorumVersion}) {
+    SCOPED_TRACE(mode == ReadConsistency::kOwnerOnly ? "owner-only"
+                                                     : "quorum");
+    ClusterDeployment deploy(EchoFn(), Options(mode));
     ASSERT_TRUE(deploy.Start().ok());
     SeedKeys(deploy, keys);
 
     StatRecorder recorder(&deploy.client());
     ParallelInvokerStats stats = DelegateAll(&recorder, keys);
     EXPECT_EQ(stats.delegated, static_cast<int64_t>(kKeys));
-    EXPECT_GT(stats.delegation_batches, 0);
-    EXPECT_EQ(stats.transport_errors, 0);
-    EXPECT_EQ(recorder.calls(), static_cast<int64_t>(kKeys))
-        << "the invoker Stats every delegated item";
-    EXPECT_EQ(StatRequests(deploy), 0)
-        << "every delegated item's Stat must come from the piggyback";
-
-    // What the engine learned is what a wire Stat returns. The entries
-    // were consumed, so these Stats go to the wire.
-    std::map<Key, DataService::ItemStat> learned = recorder.learned();
-    ASSERT_EQ(learned.size(), kKeys);
-    for (const auto& [key, stat] : learned) {
-      auto wire = deploy.client().Stat(key);
-      ASSERT_TRUE(wire.ok()) << wire.status();
-      EXPECT_EQ(stat.size_bytes, wire->size_bytes) << "key " << key;
-      EXPECT_EQ(stat.version, wire->version) << "key " << key;
+    // Owner-only reads one replica per Stat, quorum a majority of two.
+    const int64_t per_stat = mode == ReadConsistency::kOwnerOnly ? 1 : 2;
+    EXPECT_EQ(StatRequests(deploy), per_stat * static_cast<int64_t>(kKeys));
+    EXPECT_EQ(deploy.client().stat_piggyback().occupied(), 0u)
+        << "nothing is parked outside kAny";
+    for (const auto& [key, stat] : recorder.learned()) {
       EXPECT_EQ(stat.size_bytes, static_cast<double>(ValueOf(key).size()));
-    }
-    EXPECT_EQ(StatRequests(deploy), static_cast<int64_t>(kKeys));
-  }
-}
-
-TEST(ClusterStatPiggybackTest, OwnerOnlyAndQuorumStatStillReadTheWire) {
-  constexpr size_t kKeys = 120;
-  const std::vector<Key> keys = DistinctSlotKeys(kKeys);
-  for (RpcBackend backend : kBackends) {
-    for (ReadConsistency mode :
-         {ReadConsistency::kOwnerOnly, ReadConsistency::kQuorumVersion}) {
-      SCOPED_TRACE(std::string(BackendName(backend)) +
-                   (mode == ReadConsistency::kOwnerOnly ? " owner-only"
-                                                        : " quorum"));
-      ClusterDeployment deploy(EchoFn(), Options(backend, mode));
-      ASSERT_TRUE(deploy.Start().ok());
-      SeedKeys(deploy, keys);
-
-      StatRecorder recorder(&deploy.client());
-      ParallelInvokerStats stats = DelegateAll(&recorder, keys);
-      EXPECT_EQ(stats.delegated, static_cast<int64_t>(kKeys));
-      // Owner-only reads one replica per Stat, quorum a majority of two.
-      const int64_t per_stat = mode == ReadConsistency::kOwnerOnly ? 1 : 2;
-      EXPECT_EQ(StatRequests(deploy), per_stat * static_cast<int64_t>(kKeys));
-      EXPECT_EQ(deploy.client().stat_piggyback().occupied(), 0u)
-          << "nothing is parked outside kAny";
-      for (const auto& [key, stat] : recorder.learned()) {
-        EXPECT_EQ(stat.size_bytes, static_cast<double>(ValueOf(key).size()));
-      }
     }
   }
 }
 
 TEST(ClusterStatPiggybackTest, AnEntryAnswersExactlyOneStat) {
-  for (RpcBackend backend : kBackends) {
-    SCOPED_TRACE(BackendName(backend));
-    ClusterDeployment deploy(EchoFn(), Options(backend, ReadConsistency::kAny));
-    ASSERT_TRUE(deploy.Start().ok());
-    SeedKeys(deploy, {1, 3, 5, 6});
-    ClusterClientService& client = deploy.client();
+  ClusterDeployment deploy(EchoFn(), Options(ReadConsistency::kAny));
+  ASSERT_TRUE(deploy.Start().ok());
+  SeedKeys(deploy, {1, 3, 5, 6});
+  ClusterClientService& client = deploy.client();
 
-    auto results = client.ExecuteBatch({{3, "a"}, {5, "b"}}, EchoFn());
-    ASSERT_EQ(results.size(), 2u);
-    ASSERT_TRUE(results[0].ok() && results[1].ok());
-    EXPECT_EQ(client.stat_piggyback().occupied(), 2u);
+  auto results = client.ExecuteBatch({{3, "a"}, {5, "b"}}, EchoFn());
+  ASSERT_EQ(results.size(), 2u);
+  ASSERT_TRUE(results[0].ok() && results[1].ok());
+  EXPECT_EQ(client.stat_piggyback().occupied(), 2u);
 
-    auto first = client.Stat(3);
-    ASSERT_TRUE(first.ok()) << first.status();
-    EXPECT_EQ(StatRequests(deploy), 0);
-    auto second = client.Stat(3);
-    ASSERT_TRUE(second.ok()) << second.status();
-    EXPECT_EQ(StatRequests(deploy), 1) << "the entry was already consumed";
-    EXPECT_EQ(first->size_bytes, second->size_bytes);
-    EXPECT_EQ(first->version, second->version);
+  auto first = client.Stat(3);
+  ASSERT_TRUE(first.ok()) << first.status();
+  EXPECT_EQ(StatRequests(deploy), 0);
+  auto second = client.Stat(3);
+  ASSERT_TRUE(second.ok()) << second.status();
+  EXPECT_EQ(StatRequests(deploy), 1) << "the entry was already consumed";
+  EXPECT_EQ(first->size_bytes, second->size_bytes);
+  EXPECT_EQ(first->version, second->version);
 
-    // A single Execute piggybacks too; an error result parks nothing.
-    ASSERT_TRUE(client.Execute(6, "c", EchoFn()).ok());
-    EXPECT_FALSE(client.Execute(1000, "missing", EchoFn()).ok());
-    ASSERT_TRUE(client.Stat(6).ok());
-    EXPECT_EQ(StatRequests(deploy), 1);
-    EXPECT_FALSE(client.Stat(1000).ok());
-    EXPECT_EQ(StatRequests(deploy), 2);
-    ASSERT_TRUE(client.Stat(5).ok());  // the first batch's other entry
-    EXPECT_EQ(StatRequests(deploy), 2);
-    EXPECT_EQ(client.stat_piggyback().occupied(), 0u);
+  // A single Execute piggybacks too; an error result parks nothing.
+  ASSERT_TRUE(client.Execute(6, "c", EchoFn()).ok());
+  EXPECT_FALSE(client.Execute(1000, "missing", EchoFn()).ok());
+  ASSERT_TRUE(client.Stat(6).ok());
+  EXPECT_EQ(StatRequests(deploy), 1);
+  EXPECT_FALSE(client.Stat(1000).ok());
+  EXPECT_EQ(StatRequests(deploy), 2);
+  ASSERT_TRUE(client.Stat(5).ok());  // the first batch's other entry
+  EXPECT_EQ(StatRequests(deploy), 2);
+  EXPECT_EQ(client.stat_piggyback().occupied(), 0u);
 
-    // Two parked keys sharing a slot: the later Record evicts the other,
-    // so exactly one of their Stats reads the wire.
-    const Key a = 0;
-    Key b = 1;
-    while (SlotOf(b) != SlotOf(a)) ++b;
-    SeedKeys(deploy, {a, b});
-    ASSERT_TRUE(client.ExecuteBatch({{a, "x"}, {b, "y"}}, EchoFn())[0].ok());
-    EXPECT_EQ(client.stat_piggyback().occupied(), 1u);
-    ASSERT_TRUE(client.Stat(a).ok());
-    ASSERT_TRUE(client.Stat(b).ok());
-    EXPECT_EQ(StatRequests(deploy), 3);
-  }
+  // Two parked keys sharing a slot: the later Record evicts the other,
+  // so exactly one of their Stats reads the wire.
+  const Key a = 0;
+  Key b = 1;
+  while (SlotOf(b) != SlotOf(a)) ++b;
+  SeedKeys(deploy, {a, b});
+  ASSERT_TRUE(client.ExecuteBatch({{a, "x"}, {b, "y"}}, EchoFn())[0].ok());
+  EXPECT_EQ(client.stat_piggyback().occupied(), 1u);
+  ASSERT_TRUE(client.Stat(a).ok());
+  ASSERT_TRUE(client.Stat(b).ok());
+  EXPECT_EQ(StatRequests(deploy), 3);
 }
 
 TEST(ClusterStatPiggybackTest, OwnPutSendsTheNextStatToTheWire) {
-  for (RpcBackend backend : kBackends) {
-    SCOPED_TRACE(BackendName(backend));
-    ClusterDeployment deploy(EchoFn(), Options(backend, ReadConsistency::kAny));
-    ASSERT_TRUE(deploy.Start().ok());
-    SeedKeys(deploy, {4});
-    ClusterClientService& client = deploy.client();
+  ClusterDeployment deploy(EchoFn(), Options(ReadConsistency::kAny));
+  ASSERT_TRUE(deploy.Start().ok());
+  SeedKeys(deploy, {4});
+  ClusterClientService& client = deploy.client();
 
-    ASSERT_TRUE(client.Execute(4, "p", EchoFn()).ok());
-    auto parked_version = client.Stat(4);  // answered from the piggyback
-    ASSERT_TRUE(parked_version.ok());
-    ASSERT_TRUE(client.Execute(4, "p", EchoFn()).ok());
+  ASSERT_TRUE(client.Execute(4, "p", EchoFn()).ok());
+  auto parked_version = client.Stat(4);  // answered from the piggyback
+  ASSERT_TRUE(parked_version.ok());
+  ASSERT_TRUE(client.Execute(4, "p", EchoFn()).ok());
 
-    const std::string bigger = "a much longer value than before";
-    auto written = client.Put(4, bigger);
-    ASSERT_TRUE(written.ok()) << written.status();
-    EXPECT_EQ(client.stat_piggyback().occupied(), 0u);
+  const std::string bigger = "a much longer value than before";
+  auto written = client.Put(4, bigger);
+  ASSERT_TRUE(written.ok()) << written.status();
+  EXPECT_EQ(client.stat_piggyback().occupied(), 0u);
 
-    auto stat = client.Stat(4);
-    ASSERT_TRUE(stat.ok()) << stat.status();
-    EXPECT_EQ(StatRequests(deploy), 1);
-    EXPECT_EQ(stat->version, *written);
-    EXPECT_GT(stat->version, parked_version->version);
-    EXPECT_EQ(stat->size_bytes, static_cast<double>(bigger.size()));
-  }
+  auto stat = client.Stat(4);
+  ASSERT_TRUE(stat.ok()) << stat.status();
+  EXPECT_EQ(StatRequests(deploy), 1);
+  EXPECT_EQ(stat->version, *written);
+  EXPECT_GT(stat->version, parked_version->version);
+  EXPECT_EQ(stat->size_bytes, static_cast<double>(bigger.size()));
 }
 
 TEST(ClusterStatPiggybackTest, TableSizeStaysFixedOverManyDistinctKeys) {
   constexpr Key kKeys = 100000;
   constexpr size_t kChunk = 2000;
-  for (RpcBackend backend : kBackends) {
-    SCOPED_TRACE(BackendName(backend));
-    ClusterDeployment deploy(EchoFn(), Options(backend, ReadConsistency::kAny));
-    ASSERT_TRUE(deploy.Start().ok());
-    for (Key k = 0; k < kKeys; ++k) ASSERT_TRUE(deploy.Seed(k, "v").ok());
-    ClusterClientService& client = deploy.client();
+  ClusterDeployment deploy(EchoFn(), Options(ReadConsistency::kAny));
+  ASSERT_TRUE(deploy.Start().ok());
+  for (Key k = 0; k < kKeys; ++k) ASSERT_TRUE(deploy.Seed(k, "v").ok());
+  ClusterClientService& client = deploy.client();
 
-    std::vector<std::pair<Key, std::string>> items;
-    for (Key k = 0; k < kKeys; ++k) {
-      items.emplace_back(k, "p");
-      if (items.size() == kChunk || k + 1 == kKeys) {
-        for (const auto& r : client.ExecuteBatch(items, EchoFn())) {
-          ASSERT_TRUE(r.ok()) << r.status();
-        }
-        items.clear();
+  std::vector<std::pair<Key, std::string>> items;
+  for (Key k = 0; k < kKeys; ++k) {
+    items.emplace_back(k, "p");
+    if (items.size() == kChunk || k + 1 == kKeys) {
+      for (const auto& r : client.ExecuteBatch(items, EchoFn())) {
+        ASSERT_TRUE(r.ok()) << r.status();
       }
+      items.clear();
     }
-    // 100k distinct keys parked, at most kSlots of them kept.
-    EXPECT_LE(client.stat_piggyback().occupied(), StatPiggyback::kSlots);
-    EXPECT_GT(client.stat_piggyback().occupied(), 0u);
-    // The most recent key won its slot: its Stat needs no round trip.
-    ASSERT_TRUE(client.Stat(kKeys - 1).ok());
-    EXPECT_EQ(StatRequests(deploy), 0);
   }
+  // 100k distinct keys parked, at most kSlots of them kept.
+  EXPECT_LE(client.stat_piggyback().occupied(), StatPiggyback::kSlots);
+  EXPECT_GT(client.stat_piggyback().occupied(), 0u);
+  // The most recent key won its slot: its Stat needs no round trip.
+  ASSERT_TRUE(client.Stat(kKeys - 1).ok());
+  EXPECT_EQ(StatRequests(deploy), 0);
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 
 #include "joinopt/cluster/deployment.h"
 #include "joinopt/engine/parallel_invoker.h"
+#include "joinopt/net/rpc_client.h"
 #include "joinopt/net/socket.h"
 
 namespace joinopt {
@@ -105,6 +106,60 @@ TEST(SubscriberTest, RawSubscribeDeliversSnapshotThenInOrderEvents) {
   EXPECT_EQ(event->seq, 1u);
 }
 
+TEST(SubscriberTest, RawSubscribeReceivesEveryBurstOfPuts) {
+  // A live stream must keep delivering after its first batch of events:
+  // three bursts of Puts, 150 ms apart (several poll ticks), each reach
+  // the subscriber. Bursts alternate between Puts over the wire (the
+  // server's own pool threads fan out to the stream) and writes made on
+  // the node's service directly (another thread fans out).
+  ClusterDeployment deploy(EchoFn(), SmallOptions(1));
+  ASSERT_TRUE(deploy.Start().ok());
+  RpcEndpoint ep = deploy.topology().endpoint(0);
+
+  auto conn = TcpConnect(ep.host, ep.port, 1.0);
+  ASSERT_TRUE(conn.ok()) << conn.status();
+  ASSERT_TRUE(SendFrame(conn->get(), MsgType::kSubscribeReq, 1,
+                        EncodeSubscribeRequest(99), 1.0,
+                        kDefaultMaxFrameBytes)
+                  .ok());
+  auto resp = RecvFrame(conn->get(), 2.0, kDefaultMaxFrameBytes);
+  ASSERT_TRUE(resp.ok()) << resp.status();
+  ASSERT_EQ(resp->header.type, MsgType::kSubscribeResp);
+
+  RpcClientOptions copts;
+  copts.endpoints = {ep};
+  RpcClientService writer(copts);
+  constexpr int kBursts = 3;
+  constexpr int kPutsPerBurst = 8;
+  for (int burst = 0; burst < kBursts; ++burst) {
+    SCOPED_TRACE("burst " + std::to_string(burst));
+    if (burst > 0) std::this_thread::sleep_for(std::chrono::milliseconds(150));
+    std::vector<std::pair<Key, uint64_t>> written;
+    for (int i = 0; i < kPutsPerBurst; ++i) {
+      Key key = static_cast<Key>(burst * 100 + i);
+      std::string value = "b" + std::to_string(burst);
+      StatusOr<uint64_t> version = Status::Internal("not written");
+      if (burst % 2 == 0) {
+        version = writer.Put(key, value);
+      } else {
+        version = deploy.Seed(key, value);
+      }
+      ASSERT_TRUE(version.ok()) << version.status();
+      written.emplace_back(key, *version);
+    }
+    // Distinct keys, so nothing coalesces: one event per Put, in order.
+    for (const auto& [key, version] : written) {
+      auto evt = RecvFrame(conn->get(), 2.0, kDefaultMaxFrameBytes);
+      ASSERT_TRUE(evt.ok()) << "key " << key << ": " << evt.status();
+      ASSERT_EQ(evt->header.type, MsgType::kNotifyEvt);
+      auto event = DecodeNotifyEvent(evt->body);
+      ASSERT_TRUE(event.ok()) << event.status();
+      EXPECT_EQ(event->key, key);
+      EXPECT_EQ(event->version, version);
+    }
+  }
+}
+
 TEST(SubscriberTest, NotificationsReachTheInvokerAndKillStaleReads) {
   ClusterDeployment deploy(EchoFn(), SmallOptions(2));
   ASSERT_TRUE(deploy.Start().ok());
@@ -171,8 +226,10 @@ TEST(SubscriberTest, SequenceGapAfterDroppedStreamTriggersTargetedResync) {
   ASSERT_TRUE(
       WaitFor([&] { return subscriber->stats().gaps_detected >= 1; }, 5.0))
       << "reconnect snapshot did not surface the missed updates as a gap";
+  // The subscriber counts the gap, then runs the re-sync it forces.
+  EXPECT_TRUE(WaitFor([&] { return subscriber->stats().resyncs >= 1; }, 5.0))
+      << "the gap did not force a re-sync";
   UpdateSubscriberStats stats = subscriber->stats();
-  EXPECT_GE(stats.resyncs, 1);
   EXPECT_GE(stats.reconnects, 1);
   // Targeted: only the gapped region re-synced, not one per region.
   EXPECT_LT(stats.resyncs,
@@ -217,7 +274,9 @@ TEST(SubscriberTest, NodeRestartBumpsEpochAndForcesResync) {
   ASSERT_TRUE(
       WaitFor([&] { return subscriber->stats().epoch_bumps >= 1; }, 10.0))
       << "restart was not observed as an epoch bump";
-  EXPECT_GE(subscriber->stats().resyncs, 1);
+  // The subscriber counts the bump, then runs the re-sync it forces.
+  EXPECT_TRUE(WaitFor([&] { return subscriber->stats().resyncs >= 1; }, 5.0))
+      << "the epoch bump did not force a re-sync";
 
   ASSERT_TRUE(WaitFor(
       [&] {

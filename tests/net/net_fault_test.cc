@@ -1,5 +1,5 @@
 // NetFaultInjector regression tests: injected partitions must be honored
-// by every socket path on BOTH serving backends — at connect time (a
+// by every socket path of the server and client — at connect time (a
 // partitioned pair can never complete a handshake: the dialer fails fast,
 // and the acceptor drops the fd even when the dialer skipped its own
 // check), and on established connections (half-open: only the blocked
@@ -40,14 +40,13 @@ struct NetFaultGuard {
 };
 
 struct ServerFixture {
-  explicit ServerFixture(RpcBackend backend, int32_t identity) {
+  explicit ServerFixture(int32_t identity) {
     store = std::make_unique<LogStructuredStore>(LogStoreConfig{});
     for (Key k = 0; k < 16; ++k) {
       store->Put(k, "v" + std::to_string(k));
     }
     service = std::make_unique<LogStoreDataService>(store.get(), 4);
     RpcServerOptions sopts;
-    sopts.backend = backend;
     sopts.net_identity = identity;
     server = std::make_unique<RpcServer>(service.get(), EchoFn(), sopts);
     status = server->Start();
@@ -71,52 +70,42 @@ RpcClientOptions ClientFor(const ServerFixture& fx, int32_t identity) {
   return copts;
 }
 
-const RpcBackend kBackends[] = {RpcBackend::kThreadPerConnection,
-                                RpcBackend::kReactor};
-
-const char* BackendName(RpcBackend b) {
-  return b == RpcBackend::kReactor ? "reactor" : "thread";
-}
-
 TEST(NetFaultTest, ConnectFailsWhenEitherDirectionBlocked) {
   NetFaultGuard guard;
   auto& inj = NetFaultInjector::Instance();
-  for (RpcBackend backend : kBackends) {
-    SCOPED_TRACE(BackendName(backend));
-    ServerFixture fx(backend, /*identity=*/1);
-    ASSERT_TRUE(fx.status.ok()) << fx.status;
+  ServerFixture fx(/*identity=*/1);
+  ASSERT_TRUE(fx.status.ok()) << fx.status;
 
-    // Sanity: the pair talks while no rule is active.
-    {
-      RpcClientService ok_client(ClientFor(fx, 0));
-      ASSERT_TRUE(ok_client.Fetch(1).ok());
-    }
+  // Sanity: the pair talks while no rule is active.
+  {
+    RpcClientService ok_client(ClientFor(fx, 0));
+    ASSERT_TRUE(ok_client.Fetch(1).ok());
+  }
 
-    // Forward direction blocked (client's SYN dropped): a fresh dial fails.
-    inj.BlockOneWay(0, 1);
-    {
-      RpcClientService client(ClientFor(fx, 0));
-      auto fetched = client.Fetch(1);
-      EXPECT_FALSE(fetched.ok());
-    }
-    inj.HealAll();
+  // Forward direction blocked (client's SYN dropped): a fresh dial fails.
+  inj.BlockOneWay(0, 1);
+  {
+    RpcClientService client(ClientFor(fx, 0));
+    auto fetched = client.Fetch(1);
+    EXPECT_FALSE(fetched.ok());
+  }
+  inj.HealAll();
 
-    // Reverse direction blocked (the SYN-ACK is what gets dropped): the
-    // handshake still cannot complete, so the dial must fail just the same.
-    inj.BlockOneWay(1, 0);
-    {
-      RpcClientService client(ClientFor(fx, 0));
-      EXPECT_FALSE(client.Fetch(1).ok());
-    }
-    inj.HealAll();
+  // Reverse direction blocked (the SYN-ACK is what gets dropped): the
+  // handshake still cannot complete, so the dial must fail just the same.
+  inj.BlockOneWay(1, 0);
+  {
+    RpcClientService client(ClientFor(fx, 0));
+    EXPECT_FALSE(client.Fetch(1).ok());
+  }
+  inj.HealAll();
 
-    // Healed: a fresh client connects and reads again.
-    {
-      RpcClientService client(ClientFor(fx, 0));
-      auto fetched = client.Fetch(1);
-      ASSERT_TRUE(fetched.ok()) << fetched.status();
-      EXPECT_EQ(fetched->value, "v1");
-    }
+  // Healed: a fresh client connects and reads again.
+  {
+    RpcClientService client(ClientFor(fx, 0));
+    auto fetched = client.Fetch(1);
+    ASSERT_TRUE(fetched.ok()) << fetched.status();
+    EXPECT_EQ(fetched->value, "v1");
   }
 }
 
@@ -129,108 +118,102 @@ TEST(NetFaultTest, ConnectFailsWhenEitherDirectionBlocked) {
 TEST(NetFaultTest, AcceptDropsPartitionedPeerOnBothBackends) {
   NetFaultGuard guard;
   auto& inj = NetFaultInjector::Instance();
-  for (RpcBackend backend : kBackends) {
-    SCOPED_TRACE(BackendName(backend));
-    ServerFixture fx(backend, /*identity=*/1);
-    ASSERT_TRUE(fx.status.ok()) << fx.status;
+  ServerFixture fx(/*identity=*/1);
+  ASSERT_TRUE(fx.status.ok()) << fx.status;
 
-    auto raw_connect = [&](int32_t identity, bool expect_eof) {
-      int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-      ASSERT_GE(fd, 0);
-      // Bind first so the ephemeral port exists before the handshake: the
-      // identity must be registered before the server can possibly accept.
-      sockaddr_in local{};
-      local.sin_family = AF_INET;
-      local.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-      local.sin_port = 0;
-      ASSERT_EQ(::bind(fd, reinterpret_cast<sockaddr*>(&local),
-                       sizeof(local)),
-                0);
-      {
-        NetFaultInjector::ScopedIdentity scope(identity);
-        inj.OnConnected(fd, fx.server->port());
-      }
-      sockaddr_in remote{};
-      remote.sin_family = AF_INET;
-      remote.sin_port = htons(fx.server->port());
-      ASSERT_EQ(::inet_pton(AF_INET, fx.server->host().c_str(),
-                            &remote.sin_addr),
-                1);
-      ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&remote),
-                          sizeof(remote)),
-                0)
-          << "loopback handshake itself must succeed (the kernel accepts "
-             "into the backlog; the drop happens at accept)";
+  auto raw_connect = [&](int32_t identity, bool expect_eof) {
+    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    // Bind first so the ephemeral port exists before the handshake: the
+    // identity must be registered before the server can possibly accept.
+    sockaddr_in local{};
+    local.sin_family = AF_INET;
+    local.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    local.sin_port = 0;
+    ASSERT_EQ(::bind(fd, reinterpret_cast<sockaddr*>(&local),
+                     sizeof(local)),
+              0);
+    {
+      NetFaultInjector::ScopedIdentity scope(identity);
+      inj.OnConnected(fd, fx.server->port());
+    }
+    sockaddr_in remote{};
+    remote.sin_family = AF_INET;
+    remote.sin_port = htons(fx.server->port());
+    ASSERT_EQ(::inet_pton(AF_INET, fx.server->host().c_str(),
+                          &remote.sin_addr),
+              1);
+    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&remote),
+                        sizeof(remote)),
+              0)
+        << "loopback handshake itself must succeed (the kernel accepts "
+           "into the backlog; the drop happens at accept)";
 
-      // EOF within the deadline means the server closed us at accept;
-      // a poll timeout means the server kept the connection.
-      pollfd pfd{fd, POLLIN, 0};
-      int ready = ::poll(&pfd, 1, expect_eof ? 3000 : 300);
-      if (expect_eof) {
-        ASSERT_GT(ready, 0) << "server never closed the partitioned peer";
-        char byte = 0;
-        EXPECT_EQ(::recv(fd, &byte, 1, 0), 0)
-            << "expected EOF from the accept-path drop";
-      } else {
-        EXPECT_EQ(ready, 0)
-            << "server closed a healed peer's connection at accept";
-      }
-      inj.OnClose(fd);
-      ::close(fd);
-    };
+    // EOF within the deadline means the server closed us at accept;
+    // a poll timeout means the server kept the connection.
+    pollfd pfd{fd, POLLIN, 0};
+    int ready = ::poll(&pfd, 1, expect_eof ? 3000 : 300);
+    if (expect_eof) {
+      ASSERT_GT(ready, 0) << "server never closed the partitioned peer";
+      char byte = 0;
+      EXPECT_EQ(::recv(fd, &byte, 1, 0), 0)
+          << "expected EOF from the accept-path drop";
+    } else {
+      EXPECT_EQ(ready, 0)
+          << "server closed a healed peer's connection at accept";
+    }
+    inj.OnClose(fd);
+    ::close(fd);
+  };
 
-    inj.BlockOneWay(1, 0);  // only the server->client direction
-    raw_connect(/*identity=*/0, /*expect_eof=*/true);
-    inj.HealAll();
-    raw_connect(/*identity=*/0, /*expect_eof=*/false);
-  }
+  inj.BlockOneWay(1, 0);  // only the server->client direction
+  raw_connect(/*identity=*/0, /*expect_eof=*/true);
+  inj.HealAll();
+  raw_connect(/*identity=*/0, /*expect_eof=*/false);
 }
 
 TEST(NetFaultTest, HalfOpenBlocksOnlyTheTransmitDirection) {
   NetFaultGuard guard;
   auto& inj = NetFaultInjector::Instance();
-  for (RpcBackend backend : kBackends) {
-    SCOPED_TRACE(BackendName(backend));
-    ServerFixture fx(backend, /*identity=*/1);
-    ASSERT_TRUE(fx.status.ok()) << fx.status;
+  ServerFixture fx(/*identity=*/1);
+  ASSERT_TRUE(fx.status.ok()) << fx.status;
 
-    // client->server blocked on an ESTABLISHED connection: the request
-    // never leaves the client, so the server's request counter must not
-    // move.
-    {
-      RpcClientService client(ClientFor(fx, 0));
-      ASSERT_TRUE(client.Fetch(1).ok());  // pool a live connection
-      int64_t before = fx.server->stats().requests;
-      inj.BlockOneWay(0, 1);
-      EXPECT_FALSE(client.Fetch(2).ok());
-      EXPECT_EQ(fx.server->stats().requests, before)
-          << "a blocked transmit direction still delivered a request";
-      inj.HealAll();
-      auto fetched = client.Fetch(2);
-      ASSERT_TRUE(fetched.ok()) << fetched.status();
-      EXPECT_EQ(fetched->value, "v2");
-    }
+  // client->server blocked on an ESTABLISHED connection: the request
+  // never leaves the client, so the server's request counter must not
+  // move.
+  {
+    RpcClientService client(ClientFor(fx, 0));
+    ASSERT_TRUE(client.Fetch(1).ok());  // pool a live connection
+    int64_t before = fx.server->stats().requests;
+    inj.BlockOneWay(0, 1);
+    EXPECT_FALSE(client.Fetch(2).ok());
+    EXPECT_EQ(fx.server->stats().requests, before)
+        << "a blocked transmit direction still delivered a request";
+    inj.HealAll();
+    auto fetched = client.Fetch(2);
+    ASSERT_TRUE(fetched.ok()) << fetched.status();
+    EXPECT_EQ(fetched->value, "v2");
+  }
 
-    // server->client blocked: the request DOES get through (that is the
-    // half-open point — the server burns work answering) but the response
-    // is black-holed, so the client times out.
-    {
-      RpcClientService client(ClientFor(fx, 0));
-      ASSERT_TRUE(client.Fetch(1).ok());
-      int64_t before = fx.server->stats().requests;
-      inj.BlockOneWay(1, 0);
-      EXPECT_FALSE(client.Fetch(3).ok());
-      EXPECT_GT(fx.server->stats().requests, before)
-          << "the unblocked request direction should still deliver";
-      inj.HealAll();
-    }
+  // server->client blocked: the request DOES get through (that is the
+  // half-open point — the server burns work answering) but the response
+  // is black-holed, so the client times out.
+  {
+    RpcClientService client(ClientFor(fx, 0));
+    ASSERT_TRUE(client.Fetch(1).ok());
+    int64_t before = fx.server->stats().requests;
+    inj.BlockOneWay(1, 0);
+    EXPECT_FALSE(client.Fetch(3).ok());
+    EXPECT_GT(fx.server->stats().requests, before)
+        << "the unblocked request direction should still deliver";
+    inj.HealAll();
   }
 }
 
 TEST(NetFaultTest, UnknownIdentitiesAreNeverTouched) {
   NetFaultGuard guard;
   auto& inj = NetFaultInjector::Instance();
-  ServerFixture fx(RpcBackend::kThreadPerConnection, /*identity=*/1);
+  ServerFixture fx(/*identity=*/1);
   ASSERT_TRUE(fx.status.ok()) << fx.status;
 
   inj.Block(0, 1);  // symmetric block on the pair the server belongs to

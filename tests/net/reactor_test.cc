@@ -1,20 +1,20 @@
-// Reactor-backend tests: verb parity with the thread-per-connection
-// backend, request pipelining with out-of-order completion (responses
-// correlate by frame seq), flat thread count under a thousand idle
-// connections, read-side backpressure when a client floods past the
-// pipeline bound, Notify flow control — a slow subscriber is throttled
-// with per-key coalescing instead of dropped — and the subscriber-side
-// half: a live-stream seq gap counts as coalesced_gaps, not a re-sync.
+// Serving-backend tests: remote verbs match the in-process service,
+// pipelined requests on one connection are answered in order while a slow
+// verb holds only its own connection, thread count stays flat under a
+// thousand idle connections, reads pause at the write-queue watermark,
+// Notify flow control — a slow subscriber is throttled with per-key
+// coalescing instead of dropped — and the subscriber-side half: a
+// live-stream seq gap counts as coalesced_gaps, not a re-sync.
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 
 #include <atomic>
 #include <chrono>
 #include <functional>
 #include <memory>
-#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -24,6 +24,7 @@
 #include "joinopt/cluster/subscriber.h"
 #include "joinopt/cluster/topology.h"
 #include "joinopt/net/loopback.h"
+#include "joinopt/net/reactor/reactor_core.h"
 #include "joinopt/net/socket.h"
 #include "joinopt/store/log_store.h"
 
@@ -58,12 +59,6 @@ struct StoreFixture {
   LogStoreDataService service;
 };
 
-RpcServerOptions ReactorOptions() {
-  RpcServerOptions opts;
-  opts.backend = RpcBackend::kReactor;
-  return opts;
-}
-
 /// Connects with SO_RCVBUF shrunk BEFORE the handshake, so the TCP window
 /// scale is negotiated tiny and the kernel cannot swallow a large response
 /// on the receiver's behalf — the lever the slow-subscriber test uses to
@@ -91,58 +86,51 @@ StatusOr<UniqueFd> ConnectWithTinyWindow(const std::string& host,
   return fd;
 }
 
-TEST(ReactorTest, BothBackendsServeIdenticalVerbs) {
-  // The same client workload against both backends: results must agree
-  // verb by verb (one VerbDispatcher, so drift would be a serving bug).
-  for (RpcBackend backend :
-       {RpcBackend::kThreadPerConnection, RpcBackend::kReactor}) {
-    SCOPED_TRACE(backend == RpcBackend::kReactor ? "reactor" : "threaded");
-    StoreFixture fx;
-    RpcServerOptions sopts;
-    sopts.backend = backend;
-    LoopbackRpc rpc(&fx.service, EchoFn(), /*num_replicas=*/1, {}, sopts);
-    ASSERT_TRUE(rpc.status().ok()) << rpc.status();
-    EXPECT_EQ(rpc.server().active_backend(), backend);
+TEST(ReactorTest, RemoteVerbsEqualInProcessResults) {
+  // Every verb over the socket must answer exactly what the wrapped
+  // service answers in process.
+  StoreFixture fx;
+  LoopbackRpc rpc(&fx.service, EchoFn(), /*num_replicas=*/1);
+  ASSERT_TRUE(rpc.status().ok()) << rpc.status();
 
-    RpcClientService& remote = rpc.client();
-    for (Key k = 0; k < 16; ++k) {
-      auto fetched = remote.Fetch(k);
-      ASSERT_TRUE(fetched.ok()) << fetched.status();
-      EXPECT_EQ(fetched->value, "payload-" + std::to_string(k));
+  RpcClientService& remote = rpc.client();
+  for (Key k = 0; k < 16; ++k) {
+    auto fetched = remote.Fetch(k);
+    ASSERT_TRUE(fetched.ok()) << fetched.status();
+    EXPECT_EQ(fetched->value, "payload-" + std::to_string(k));
 
-      auto executed = remote.Execute(k, "p", EchoFn());
-      ASSERT_TRUE(executed.ok()) << executed.status();
-      EXPECT_EQ(*executed, *fx.service.Execute(k, "p", EchoFn()));
+    auto executed = remote.Execute(k, "p", EchoFn());
+    ASSERT_TRUE(executed.ok()) << executed.status();
+    EXPECT_EQ(*executed, *fx.service.Execute(k, "p", EchoFn()));
 
-      auto stat = remote.Stat(k);
-      ASSERT_TRUE(stat.ok()) << stat.status();
-      EXPECT_EQ(stat->version, fx.service.Stat(k)->version);
-      EXPECT_EQ(remote.OwnerOf(k), fx.service.OwnerOf(k));
-    }
-
-    std::vector<std::pair<Key, std::string>> items;
-    for (Key k = 0; k < 32; ++k) items.emplace_back(k, "b");
-    auto results = remote.ExecuteBatch(items, EchoFn());
-    ASSERT_EQ(results.size(), items.size());
-    for (size_t i = 0; i < results.size(); ++i) {
-      ASSERT_TRUE(results[i].ok()) << results[i].status();
-      EXPECT_EQ(*results[i],
-                *fx.service.Execute(items[i].first, items[i].second,
-                                    EchoFn()));
-    }
-
-    auto missing = remote.Fetch(9999);
-    ASSERT_FALSE(missing.ok());
-    EXPECT_TRUE(missing.status().IsNotFound()) << missing.status();
-    EXPECT_EQ(remote.recovery_counters().retries, 0);
+    auto stat = remote.Stat(k);
+    ASSERT_TRUE(stat.ok()) << stat.status();
+    EXPECT_EQ(stat->version, fx.service.Stat(k)->version);
+    EXPECT_EQ(remote.OwnerOf(k), fx.service.OwnerOf(k));
   }
+
+  std::vector<std::pair<Key, std::string>> items;
+  for (Key k = 0; k < 32; ++k) items.emplace_back(k, "b");
+  auto results = remote.ExecuteBatch(items, EchoFn());
+  ASSERT_EQ(results.size(), items.size());
+  for (size_t i = 0; i < results.size(); ++i) {
+    ASSERT_TRUE(results[i].ok()) << results[i].status();
+    EXPECT_EQ(*results[i],
+              *fx.service.Execute(items[i].first, items[i].second,
+                                  EchoFn()));
+  }
+
+  auto missing = remote.Fetch(9999);
+  ASSERT_FALSE(missing.ok());
+  EXPECT_TRUE(missing.status().IsNotFound()) << missing.status();
+  EXPECT_EQ(remote.recovery_counters().retries, 0);
 }
 
-TEST(ReactorTest, PipelinedResponsesCompleteOutOfOrder) {
+TEST(ReactorTest, PipelinedResponsesCompleteInOrder) {
   // Two requests down one connection without waiting: a slow Execute
-  // (seq 1) and a cheap Stat (seq 2). With two workers the Stat finishes
-  // first, and the reactor may answer out of order — the client matches
-  // responses to requests by frame seq, not arrival order.
+  // (seq 1) and a cheap Stat (seq 2). One pool thread serves the
+  // connection's frames in arrival order, so the Stat's answer follows
+  // the Execute's even though it was ready sooner.
   StoreFixture fx;
   UserFn fn = [](Key key, const std::string& params,
                  const std::string& value) {
@@ -151,7 +139,7 @@ TEST(ReactorTest, PipelinedResponsesCompleteOutOfOrder) {
     }
     return std::to_string(key) + "/" + params + "/" + value;
   };
-  RpcServer server(&fx.service, fn, ReactorOptions());
+  RpcServer server(&fx.service, fn);
   ASSERT_TRUE(server.Start().ok());
 
   auto conn = TcpConnect(server.host(), server.port(), 1.0);
@@ -166,17 +154,55 @@ TEST(ReactorTest, PipelinedResponsesCompleteOutOfOrder) {
 
   auto first = RecvFrame(conn->get(), 2.0, kDefaultMaxFrameBytes);
   ASSERT_TRUE(first.ok()) << first.status();
-  EXPECT_EQ(first->header.seq, 2u) << "cheap Stat should overtake the "
-                                      "sleeping Execute";
-  EXPECT_EQ(first->header.type, MsgType::kStatResp);
+  EXPECT_EQ(first->header.seq, 1u);
+  EXPECT_EQ(first->header.type, MsgType::kExecuteResp);
+  auto executed = DecodeExecuteResponse(first->body);
+  ASSERT_TRUE(executed.ok() && executed->value.ok()) << executed.status();
+  EXPECT_EQ(*executed->value, "7/slow/payload-7");
 
   auto second = RecvFrame(conn->get(), 2.0, kDefaultMaxFrameBytes);
   ASSERT_TRUE(second.ok()) << second.status();
-  EXPECT_EQ(second->header.seq, 1u);
-  EXPECT_EQ(second->header.type, MsgType::kExecuteResp);
-  auto executed = DecodeExecuteResponse(second->body);
-  ASSERT_TRUE(executed.ok() && executed->value.ok()) << executed.status();
-  EXPECT_EQ(*executed->value, "7/slow/payload-7");
+  EXPECT_EQ(second->header.seq, 2u);
+  EXPECT_EQ(second->header.type, MsgType::kStatResp);
+}
+
+TEST(ReactorTest, SlowExecuteHoldsOnlyItsOwnConnection) {
+  // A verb that sleeps holds its own connection and one pool thread; a
+  // Fetch on another connection is answered while it still sleeps.
+  StoreFixture fx;
+  std::atomic<bool> slow_started{false};
+  UserFn fn = [&](Key key, const std::string& params,
+                  const std::string& value) {
+    if (params == "slow") {
+      slow_started.store(true);
+      std::this_thread::sleep_for(std::chrono::milliseconds(500));
+    }
+    return std::to_string(key) + "/" + params + "/" + value;
+  };
+  RpcServer server(&fx.service, fn);
+  ASSERT_TRUE(server.Start().ok());
+
+  auto slow_conn = TcpConnect(server.host(), server.port(), 1.0);
+  ASSERT_TRUE(slow_conn.ok()) << slow_conn.status();
+  ASSERT_TRUE(SendFrame(slow_conn->get(), MsgType::kExecuteReq, 1,
+                        EncodeExecuteRequest(7, "slow"), 1.0,
+                        kDefaultMaxFrameBytes)
+                  .ok());
+  ASSERT_TRUE(WaitFor([&] { return slow_started.load(); }, 5.0));
+
+  RpcClientOptions copts;
+  copts.endpoints = {{server.host(), server.port()}};
+  RpcClientService remote(copts);
+  auto fetched = remote.Fetch(3);
+  ASSERT_TRUE(fetched.ok()) << fetched.status();
+  EXPECT_EQ(fetched->value, "payload-3");
+  pollfd pfd{slow_conn->get(), POLLIN, 0};
+  EXPECT_EQ(::poll(&pfd, 1, /*timeout=*/0), 0)
+      << "the Fetch waited for the sleeping Execute on another connection";
+
+  auto slow = RecvFrame(slow_conn->get(), 5.0, kDefaultMaxFrameBytes);
+  ASSERT_TRUE(slow.ok()) << slow.status();
+  EXPECT_EQ(slow->header.type, MsgType::kExecuteResp);
 }
 
 TEST(ReactorTest, ThousandIdleConnectionsKeepThreadCountFlat) {
@@ -184,15 +210,13 @@ TEST(ReactorTest, ThousandIdleConnectionsKeepThreadCountFlat) {
   // configuration, not connection count. A thousand idle clients must not
   // grow the thread gauge, and live traffic must still round-trip.
   StoreFixture fx;
-  RpcServerOptions sopts = ReactorOptions();
+  RpcServerOptions sopts;
   sopts.accept_backlog = 512;
   RpcServer server(&fx.service, EchoFn(), sopts);
   ASSERT_TRUE(server.Start().ok());
   const int64_t baseline_threads = server.stats().server_threads;
-  ASSERT_GT(baseline_threads, 0);
-  // IO threads + workers only — nothing per-connection.
-  EXPECT_LE(baseline_threads,
-            sopts.reactor_io_threads + sopts.reactor_worker_threads);
+  // The pool only — nothing per-connection.
+  EXPECT_EQ(baseline_threads, ReactorCore::kPoolThreads);
 
   constexpr int kConns = 1000;
   std::vector<UniqueFd> idle;
@@ -228,7 +252,7 @@ TEST(ReactorTest, StopAndRestartServesAgain) {
   // ClusterDataNode::Restart reuses the RpcServer object: each Start must
   // build a fresh reactor core (a stopped one is not restartable).
   StoreFixture fx;
-  RpcServer server(&fx.service, EchoFn(), ReactorOptions());
+  RpcServer server(&fx.service, EchoFn());
   ASSERT_TRUE(server.Start().ok());
   uint16_t port = server.port();
   server.Stop();
@@ -243,56 +267,51 @@ TEST(ReactorTest, StopAndRestartServesAgain) {
   (void)port;  // ephemeral: the second bind may pick a different port
 }
 
-TEST(ReactorTest, FloodPastPipelineBoundPausesReadsThenServesAll) {
-  // Eight requests in one burst against a pipeline bound of two: the
-  // reactor must pause reading (flow control, counted) rather than buffer
-  // unboundedly, then serve every request exactly once as slots free up.
+TEST(ReactorTest, FloodPastWriteWatermarkPausesReadsThenServesAll) {
+  // Eight pipelined Fetches whose responses each exceed a small write
+  // high watermark: the server must pause reading the connection (flow
+  // control, counted) rather than queue responses without bound, then
+  // answer every request exactly once, in order, as the client drains.
   StoreFixture fx;
-  UserFn fn = [](Key key, const std::string& params,
-                 const std::string& value) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    return std::to_string(key) + "/" + params + "/" + value;
-  };
-  RpcServerOptions sopts = ReactorOptions();
-  sopts.reactor_max_pipelined_requests = 2;
-  RpcServer server(&fx.service, fn, sopts);
+  const std::string big(96u << 10, 'x');
+  for (Key k = 100; k < 108; ++k) fx.store.Put(k, big + std::to_string(k));
+  RpcServerOptions sopts;
+  sopts.write_high_watermark = 64u << 10;
+  sopts.write_low_watermark = 16u << 10;
+  RpcServer server(&fx.service, EchoFn(), sopts);
   ASSERT_TRUE(server.Start().ok());
 
   auto conn = TcpConnect(server.host(), server.port(), 1.0);
   ASSERT_TRUE(conn.ok()) << conn.status();
   constexpr uint32_t kRequests = 8;
   for (uint32_t seq = 1; seq <= kRequests; ++seq) {
-    ASSERT_TRUE(SendFrame(conn->get(), MsgType::kExecuteReq, seq,
-                          EncodeExecuteRequest(seq, "p"), 1.0,
+    ASSERT_TRUE(SendFrame(conn->get(), MsgType::kFetchReq, seq,
+                          EncodeKeyRequest(99 + seq), 1.0,
                           kDefaultMaxFrameBytes)
                     .ok());
   }
+  ASSERT_TRUE(WaitFor(
+      [&] { return server.stats().backpressure_pauses >= 1; }, 5.0))
+      << "a response past the high watermark must trip flow control";
 
-  std::set<uint32_t> seqs;
-  for (uint32_t i = 0; i < kRequests; ++i) {
+  for (uint32_t seq = 1; seq <= kRequests; ++seq) {
     auto frame = RecvFrame(conn->get(), 5.0, kDefaultMaxFrameBytes);
     ASSERT_TRUE(frame.ok()) << frame.status();
-    ASSERT_EQ(frame->header.type, MsgType::kExecuteResp);
-    EXPECT_TRUE(seqs.insert(frame->header.seq).second)
-        << "duplicate response for seq " << frame->header.seq;
-    auto executed = DecodeExecuteResponse(frame->body);
-    ASSERT_TRUE(executed.ok() && executed->value.ok()) << executed.status();
-    EXPECT_EQ(*executed->value,
-              *fx.service.Execute(frame->header.seq, "p", fn));
+    ASSERT_EQ(frame->header.type, MsgType::kFetchResp);
+    EXPECT_EQ(frame->header.seq, seq);
+    auto fetched = DecodeFetchResponse(frame->body);
+    ASSERT_TRUE(fetched.ok() && fetched->ok()) << fetched.status();
+    EXPECT_EQ((*fetched)->value, big + std::to_string(99 + seq));
   }
-  EXPECT_EQ(seqs.size(), kRequests);
-  EXPECT_EQ(*seqs.begin(), 1u);
-  EXPECT_EQ(*seqs.rbegin(), kRequests);
-  EXPECT_GE(server.stats().backpressure_pauses, 1)
-      << "a burst 4x the pipeline bound must trip flow control";
+  EXPECT_EQ(server.stats().requests, static_cast<int64_t>(kRequests));
 }
 
 TEST(ReactorTest, SlowSubscriberIsCoalescedNotDropped) {
   // The Notify flow-control path end to end. A subscriber stops reading
   // behind a large unread response; repeated updates to one key must
   // coalesce in the bounded pending queue (newest version wins) instead
-  // of overflowing it, and the stream must survive — the legacy backend
-  // would have dropped the connection for a full re-sync.
+  // of overflowing it, and the stream must survive without a drop and a
+  // full re-sync.
   ClusterTopologyConfig tcfg;
   tcfg.num_data_nodes = 1;
   tcfg.regions_per_node = 4;
@@ -300,11 +319,11 @@ TEST(ReactorTest, SlowSubscriberIsCoalescedNotDropped) {
   ClusterTopology topology(tcfg);
   ClusterNodeService service(/*node=*/0, &topology);
 
-  RpcServerOptions sopts = ReactorOptions();
+  RpcServerOptions sopts;
   // Tiny write watermarks so one large unread response blocks Notify
   // staging (the coalescing window) without needing megabytes in flight.
-  sopts.reactor_write_high_watermark = 64u << 10;
-  sopts.reactor_write_low_watermark = 16u << 10;
+  sopts.write_high_watermark = 64u << 10;
+  sopts.write_low_watermark = 16u << 10;
   RpcServer server(&service, EchoFn(), sopts);
   ASSERT_TRUE(server.Start().ok());
 

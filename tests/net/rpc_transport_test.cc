@@ -286,87 +286,81 @@ TEST(RpcTransportTest, KillServerMidBatchFailsOverToReplica) {
 TEST(RpcTransportTest, OldWireVersionsAreRefusedInBandOnBothBackends) {
   // A v1 or v2 client (frames stamped with its version) against today's
   // server: every verb is answered with a readable in-band
-  // FailedPrecondition instead of a hang or a misparse, on both serving
-  // backends, and the connection keeps serving current-version frames.
+  // FailedPrecondition instead of a hang or a misparse, and the
+  // connection keeps serving current-version frames.
   StoreFixture fx;
-  for (RpcBackend backend :
-       {RpcBackend::kThreadPerConnection, RpcBackend::kReactor}) {
-    SCOPED_TRACE(backend == RpcBackend::kReactor ? "reactor" : "threaded");
-    RpcServerOptions sopts;
-    sopts.backend = backend;
-    LoopbackRpc rpc(&fx.service, EchoFn(), /*num_replicas=*/1, {}, sopts);
-    ASSERT_TRUE(rpc.status().ok()) << rpc.status();
-    for (uint8_t version : {uint8_t{1}, uint8_t{2}}) {
-      SCOPED_TRACE("client version " + std::to_string(version));
-      auto conn = TcpConnect(rpc.server().host(), rpc.server().port(), 1.0);
-      ASSERT_TRUE(conn.ok()) << conn.status();
-      uint32_t seq = 0;
-      auto exchange = [&](MsgType type, const std::string& body,
-                          uint8_t frame_version) -> StatusOr<std::string> {
-        std::string frame;
-        AppendFrameHeader(&frame, type, ++seq,
-                          static_cast<uint32_t>(body.size()), frame_version);
-        frame += body;
-        JOINOPT_RETURN_NOT_OK(
-            SendAll(conn->get(), frame.data(), frame.size(), 1.0));
-        JOINOPT_ASSIGN_OR_RETURN(
-            RecvdFrame resp,
-            RecvFrame(conn->get(), 2.0, kDefaultMaxFrameBytes));
-        EXPECT_EQ(resp.header.type, ResponseTypeFor(type));
-        EXPECT_EQ(resp.header.seq, seq);
-        return std::move(resp.body);
-      };
-      auto refused = [](const Status& status) {
-        return status.code() == StatusCode::kFailedPrecondition;
-      };
-      const Key key = 7;
+  LoopbackRpc rpc(&fx.service, EchoFn(), /*num_replicas=*/1);
+  ASSERT_TRUE(rpc.status().ok()) << rpc.status();
+  for (uint8_t version : {uint8_t{1}, uint8_t{2}}) {
+    SCOPED_TRACE("client version " + std::to_string(version));
+    auto conn = TcpConnect(rpc.server().host(), rpc.server().port(), 1.0);
+    ASSERT_TRUE(conn.ok()) << conn.status();
+    uint32_t seq = 0;
+    auto exchange = [&](MsgType type, const std::string& body,
+                        uint8_t frame_version) -> StatusOr<std::string> {
+      std::string frame;
+      AppendFrameHeader(&frame, type, ++seq,
+                        static_cast<uint32_t>(body.size()), frame_version);
+      frame += body;
+      JOINOPT_RETURN_NOT_OK(
+          SendAll(conn->get(), frame.data(), frame.size(), 1.0));
+      JOINOPT_ASSIGN_OR_RETURN(
+          RecvdFrame resp,
+          RecvFrame(conn->get(), 2.0, kDefaultMaxFrameBytes));
+      EXPECT_EQ(resp.header.type, ResponseTypeFor(type));
+      EXPECT_EQ(resp.header.seq, seq);
+      return std::move(resp.body);
+    };
+    auto refused = [](const Status& status) {
+      return status.code() == StatusCode::kFailedPrecondition;
+    };
+    const Key key = 7;
 
-      auto fetch = exchange(MsgType::kFetchReq, EncodeKeyRequest(key), version);
-      ASSERT_TRUE(fetch.ok()) << fetch.status();
-      auto fetched = DecodeFetchResponse(*fetch);
-      ASSERT_TRUE(fetched.ok()) << fetched.status();
-      EXPECT_TRUE(refused(fetched->status())) << fetched->status();
+    auto fetch = exchange(MsgType::kFetchReq, EncodeKeyRequest(key), version);
+    ASSERT_TRUE(fetch.ok()) << fetch.status();
+    auto fetched = DecodeFetchResponse(*fetch);
+    ASSERT_TRUE(fetched.ok()) << fetched.status();
+    EXPECT_TRUE(refused(fetched->status())) << fetched->status();
 
-      auto exec = exchange(MsgType::kExecuteReq,
-                           EncodeExecuteRequest(key, "p"), version);
-      ASSERT_TRUE(exec.ok()) << exec.status();
-      auto executed = DecodeExecuteResponse(*exec);
-      ASSERT_TRUE(executed.ok()) << executed.status();
-      EXPECT_TRUE(refused(executed->value.status()));
+    auto exec = exchange(MsgType::kExecuteReq,
+                         EncodeExecuteRequest(key, "p"), version);
+    ASSERT_TRUE(exec.ok()) << exec.status();
+    auto executed = DecodeExecuteResponse(*exec);
+    ASSERT_TRUE(executed.ok()) << executed.status();
+    EXPECT_TRUE(refused(executed->value.status()));
 
-      auto batch = exchange(MsgType::kBatchReq,
-                            EncodeTaggedBatchRequest(0, 1, {{1, "a"}}),
-                            version);
-      ASSERT_TRUE(batch.ok()) << batch.status();
-      auto batched = DecodeBatchResponse(*batch);
-      ASSERT_TRUE(batched.ok()) << batched.status();
-      ASSERT_EQ(batched->size(), 1u);
-      EXPECT_TRUE(refused((*batched)[0].value.status()));
-
-      auto stat = exchange(MsgType::kStatReq, EncodeKeyRequest(key), version);
-      ASSERT_TRUE(stat.ok()) << stat.status();
-      auto statted = DecodeStatResponse(*stat);
-      ASSERT_TRUE(statted.ok()) << statted.status();
-      EXPECT_TRUE(refused(statted->status()));
-
-      auto put = exchange(MsgType::kPutReq, EncodePutRequest(key, "x"),
+    auto batch = exchange(MsgType::kBatchReq,
+                          EncodeTaggedBatchRequest(0, 1, {{1, "a"}}),
                           version);
-      ASSERT_TRUE(put.ok()) << put.status();
-      auto putted = DecodePutResponse(*put);
-      ASSERT_TRUE(putted.ok()) << putted.status();
-      EXPECT_TRUE(refused(putted->status()));
+    ASSERT_TRUE(batch.ok()) << batch.status();
+    auto batched = DecodeBatchResponse(*batch);
+    ASSERT_TRUE(batched.ok()) << batched.status();
+    ASSERT_EQ(batched->size(), 1u);
+    EXPECT_TRUE(refused((*batched)[0].value.status()));
 
-      // Only the body encodings moved; the frame layout did not, so the
-      // same connection still serves a current-version request.
-      auto current =
-          exchange(MsgType::kFetchReq, EncodeKeyRequest(key), kWireVersion);
-      ASSERT_TRUE(current.ok()) << current.status();
-      auto served = DecodeFetchResponse(*current);
-      ASSERT_TRUE(served.ok() && served->ok()) << served.status();
-      EXPECT_EQ(served->value().value, "payload-7");
-    }
-    EXPECT_EQ(rpc.server().stats().protocol_errors, 10);
+    auto stat = exchange(MsgType::kStatReq, EncodeKeyRequest(key), version);
+    ASSERT_TRUE(stat.ok()) << stat.status();
+    auto statted = DecodeStatResponse(*stat);
+    ASSERT_TRUE(statted.ok()) << statted.status();
+    EXPECT_TRUE(refused(statted->status()));
+
+    auto put = exchange(MsgType::kPutReq, EncodePutRequest(key, "x"),
+                        version);
+    ASSERT_TRUE(put.ok()) << put.status();
+    auto putted = DecodePutResponse(*put);
+    ASSERT_TRUE(putted.ok()) << putted.status();
+    EXPECT_TRUE(refused(putted->status()));
+
+    // Only the body encodings moved; the frame layout did not, so the
+    // same connection still serves a current-version request.
+    auto current =
+        exchange(MsgType::kFetchReq, EncodeKeyRequest(key), kWireVersion);
+    ASSERT_TRUE(current.ok()) << current.status();
+    auto served = DecodeFetchResponse(*current);
+    ASSERT_TRUE(served.ok() && served->ok()) << served.status();
+    EXPECT_EQ(served->value().value, "payload-7");
   }
+  EXPECT_EQ(rpc.server().stats().protocol_errors, 10);
 }
 
 TEST(RpcTransportTest, ReadBalancingSpreadsFetchesButWritesStayPrimary) {
