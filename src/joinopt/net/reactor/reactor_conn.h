@@ -79,10 +79,6 @@ class ReactorConn : public UpdateSink,
   /// owner serves it again before releasing.
   bool rerun_ JOINOPT_GUARDED_BY(mu_) = false;
   bool reads_paused_ JOINOPT_GUARDED_BY(mu_) = false;  ///< backpressure
-  /// Interest the fd was last armed with; 0 once an event may have
-  /// disarmed it. Lets a release skip the epoll_ctl when a claimed
-  /// subscriber connection is still armed as it needs to be.
-  uint32_t armed_ JOINOPT_GUARDED_BY(mu_) = 0;
   std::deque<std::string> write_queue_ JOINOPT_GUARDED_BY(mu_);
   size_t write_bytes_ JOINOPT_GUARDED_BY(mu_) = 0;
   /// Bytes of write_queue_.front() already handed to the kernel.

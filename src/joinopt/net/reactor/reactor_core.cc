@@ -106,7 +106,6 @@ void ReactorCore::PoolLoop() {
         continue;
       }
       c.busy_ = true;
-      c.armed_ = 0;  // EPOLLONESHOT disarmed the fd on delivery
       read = (event.events & EPOLLIN) != 0 && !c.reads_paused_;
       backlog = c.write_bytes_;
     }
@@ -159,18 +158,13 @@ void ReactorCore::AcceptAll() {
       conns_.emplace(id, conn);
     }
     ++stats_->live_connections;
-    bool armed = false;
-    {
-      // Under mu_, so an event's claim (which zeroes armed_) follows this.
-      MutexLock lock(conn->mu_);
-      armed = epoll_.Add(fd, EPOLLIN | EPOLLONESHOT, conn->id()).ok();
-      if (armed) {
-        conn->armed_ = EPOLLIN | EPOLLONESHOT;
-      } else {
+    if (!epoll_.Add(fd, EPOLLIN | EPOLLONESHOT, conn->id()).ok()) {
+      {
+        MutexLock lock(conn->mu_);
         conn->busy_ = true;  // never armed: this thread owns it
       }
+      Teardown(conn);
     }
-    if (!armed) Teardown(conn);
   }
   epoll_.Mod(listen_fd_.get(), EPOLLIN | EPOLLONESHOT, kListenerTag);
 }
@@ -413,9 +407,9 @@ void ReactorCore::ArmLocked(ReactorConn& conn) {
   if (conn.write_bytes_ > 0 || !conn.pending_notifies_.empty()) {
     want |= EPOLLOUT;
   }
-  if (want == conn.armed_) return;
+  // Always re-armed: any event delivered since the last arm, also one
+  // that found the connection owned, has disarmed the fd.
   epoll_.Mod(conn.fd_.get(), want, conn.id());
-  conn.armed_ = want;
 }
 
 void ReactorCore::ScheduleNotifyFlush(ReactorConn& conn) {

@@ -3,7 +3,8 @@
 // verb holds only its own connection, thread count stays flat under a
 // thousand idle connections, reads pause at the write-queue watermark,
 // Notify flow control — a slow subscriber is throttled with per-key
-// coalescing instead of dropped — and the subscriber-side half: a
+// coalescing instead of dropped, and backlogged ones claimed by Puts
+// still drain every key — and the subscriber-side half: a
 // live-stream seq gap counts as coalesced_gaps, not a re-sync.
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
@@ -11,11 +12,13 @@
 #include <poll.h>
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -423,6 +426,159 @@ TEST(ReactorTest, SlowSubscriberIsCoalescedNotDropped) {
   RpcServerStats stats = server.stats();
   EXPECT_EQ(stats.subscriptions, 1) << "no reconnect happened";
   EXPECT_GE(stats.notify_coalesced, kPuts / 2);
+}
+
+TEST(ReactorTest, BackloggedSubscribersClaimedByPutsDeliverEveryKeyOnDrain) {
+  // Subscribers that read slowly keep their connections' write queues
+  // backlogged. A Put over the wire runs on a pool thread, which claims
+  // every idle subscriber connection and flushes them one after another.
+  // Each subscriber also sends a Stat down its own stream every 10 ms, so
+  // its connection's events (EPOLLIN here, EPOLLOUT alike) land on other
+  // pool threads while a Put's thread holds the claim; each such event
+  // disarms the fd. Once the Puts stop, every subscriber must still
+  // receive every key's final version and every Stat answer as it
+  // drains: no release may leave an fd disarmed with bytes queued.
+  ClusterTopologyConfig tcfg;
+  tcfg.num_data_nodes = 1;
+  tcfg.regions_per_node = 4;
+  tcfg.replication_factor = 1;
+  ClusterTopology topology(tcfg);
+  ClusterNodeService service(/*node=*/0, &topology);
+  RpcServer server(&service, EchoFn());
+  ASSERT_TRUE(server.Start().ok());
+
+  // 64 keys stay far below the pending-queue bound, so each stream
+  // coalesces but is never dropped.
+  constexpr int kSubscribers = 8;
+  constexpr int kWriters = 4;
+  constexpr int kKeysPerWriter = 16;
+  using Versions = std::vector<std::vector<uint64_t>>;
+  struct Stream {
+    UniqueFd fd;
+    std::string inbound;
+    size_t parsed = 0;
+    uint32_t requests = 1;  // the Subscribe
+    uint32_t answered = 0;  // Stat responses received
+    Versions seen = Versions(kWriters, std::vector<uint64_t>(kKeysPerWriter));
+  };
+  std::vector<Stream> streams(kSubscribers);
+  for (Stream& st : streams) {
+    auto conn = ConnectWithTinyWindow(server.host(), server.port());
+    ASSERT_TRUE(conn.ok()) << conn.status();
+    st.fd = std::move(conn).value();
+    ASSERT_TRUE(SendFrame(st.fd.get(), MsgType::kSubscribeReq, 1,
+                          EncodeSubscribeRequest(99), 1.0,
+                          kDefaultMaxFrameBytes)
+                    .ok());
+    auto snap = RecvFrame(st.fd.get(), 2.0, kDefaultMaxFrameBytes);
+    ASSERT_TRUE(snap.ok()) << snap.status();
+    ASSERT_EQ(snap->header.type, MsgType::kSubscribeResp);
+  }
+
+  // Each writer owns a disjoint key range and remembers the version of
+  // its last Put per key.
+  Versions final_version(kWriters, std::vector<uint64_t>(kKeysPerWriter));
+  std::atomic<bool> writing{true};
+  std::atomic<int> put_failures{0};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      RpcClientOptions copts;
+      copts.endpoints = {{server.host(), server.port()}};
+      RpcClientService remote(copts);
+      for (int i = 0; writing.load(); ++i) {
+        int slot = i % kKeysPerWriter;
+        auto v = remote.Put(static_cast<Key>(w * kKeysPerWriter + slot),
+                            "v" + std::to_string(i));
+        if (!v.ok()) {
+          ++put_failures;
+          return;
+        }
+        final_version[w][slot] = *v;
+      }
+    });
+  }
+
+  // Reads up to `budget` bytes from a stream without blocking.
+  char buf[16 * 1024];
+  auto read_some = [&](Stream& st, size_t budget) {
+    while (budget > 0) {
+      ssize_t n = ::recv(st.fd.get(), buf, std::min(budget, sizeof(buf)),
+                         MSG_DONTWAIT);
+      if (n <= 0) return;
+      st.inbound.append(buf, static_cast<size_t>(n));
+      budget -= static_cast<size_t>(n);
+    }
+  };
+  // 1 KB per stream every 10 ms, far below the event rate, so the queues
+  // stay backlogged.
+  auto write_end =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(1500);
+  while (std::chrono::steady_clock::now() < write_end) {
+    for (Stream& st : streams) {
+      ASSERT_TRUE(SendFrame(st.fd.get(), MsgType::kStatReq, ++st.requests,
+                            EncodeKeyRequest(0), 1.0, kDefaultMaxFrameBytes)
+                      .ok());
+      read_some(st, 1024);
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  writing.store(false);
+  for (std::thread& t : writers) t.join();
+  ASSERT_EQ(put_failures.load(), 0);
+
+  // Parses the complete frames a stream has received; true once it has
+  // seen every key's final version.
+  auto caught_up = [&](Stream& st) {
+    for (;;) {
+      std::string_view avail(st.inbound);
+      avail.remove_prefix(st.parsed);
+      if (avail.size() < kFrameHeaderBytes) break;
+      auto header = ParseFrameHeader(avail.substr(0, kFrameHeaderBytes),
+                                     kDefaultMaxFrameBytes);
+      EXPECT_TRUE(header.ok()) << header.status();
+      if (!header.ok()) return true;  // recorded above; stop waiting
+      if (avail.size() < kFrameHeaderBytes + header->body_len) break;
+      st.parsed += kFrameHeaderBytes + header->body_len;
+      if (header->type == MsgType::kStatResp) {
+        ++st.answered;
+        continue;
+      }
+      EXPECT_EQ(header->type, MsgType::kNotifyEvt);
+      auto event = DecodeNotifyEvent(
+          avail.substr(kFrameHeaderBytes, header->body_len));
+      EXPECT_TRUE(event.ok()) << event.status();
+      if (event.ok()) {
+        st.seen[event->key / kKeysPerWriter][event->key % kKeysPerWriter] =
+            event->version;
+      }
+    }
+    return st.seen == final_version && st.answered + 1 == st.requests;
+  };
+  int behind = 0;
+  for (Stream& st : streams) behind += caught_up(st) ? 0 : 1;
+  ASSERT_EQ(behind, kSubscribers) << "a stream kept up: nothing was queued";
+
+  // Drain at full speed.
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  for (;;) {
+    bool all = true;
+    for (Stream& st : streams) {
+      read_some(st, sizeof(buf));
+      if (!caught_up(st)) all = false;
+    }
+    if (all || std::chrono::steady_clock::now() >= deadline) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  for (int i = 0; i < kSubscribers; ++i) {
+    EXPECT_EQ(streams[i].seen, final_version)
+        << "stream " << i << " stalled with events queued after "
+        << streams[i].inbound.size() << " bytes";
+    EXPECT_EQ(streams[i].answered + 1, streams[i].requests)
+        << "stream " << i << " lost Stat answers";
+  }
+  EXPECT_EQ(server.stats().subscriptions, kSubscribers)
+      << "no reconnect happened";
 }
 
 TEST(ReactorTest, SubscriberCountsLiveGapsAsCoalescedWithoutResync) {
